@@ -9,9 +9,10 @@ column partition, and the shared inner partition is reported in a witness
 rather than in the result.
 """
 
+import operator
 from dataclasses import dataclass
 
-from .core import DenseMatrix, Partition, SuperMatrix, as_rational, make_super
+from .core import DenseMatrix, Partition, SuperMatrix, _submatrix, as_rational
 from .errors import DimensionMismatch, PartitionMismatch
 
 
@@ -34,7 +35,8 @@ def strict_eq(a, b):
     return value_eq(a, b) and a.row_partition == b.row_partition and a.col_partition == b.col_partition
 
 
-def _require_same_layout(a, b):
+def _entrywise(op, a, b):
+    """op on matching entries of two supermatrices of identical shape and partitions."""
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(f"operand shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     if a.row_partition != b.row_partition:
@@ -45,12 +47,16 @@ def _require_same_layout(a, b):
         raise PartitionMismatch(
             f"partition mismatch: column cuts {list(a.col_cuts)} vs {list(b.col_cuts)}"
         )
+    entries = tuple(map(op, a.data.entries, b.data.entries))
+    return SuperMatrix(DenseMatrix(a.rows, a.cols, entries), a.row_partition, a.col_partition)
 
 
 def add(a, b):
-    _require_same_layout(a, b)
-    entries = tuple(x + y for x, y in zip(a.data.entries, b.data.entries))
-    return SuperMatrix(DenseMatrix(a.rows, a.cols, entries), a.row_partition, a.col_partition)
+    return _entrywise(operator.add, a, b)
+
+
+def sub(a, b):
+    return _entrywise(operator.sub, a, b)
 
 
 def scale(k, a):
@@ -59,12 +65,9 @@ def scale(k, a):
     return SuperMatrix(DenseMatrix(a.rows, a.cols, entries), a.row_partition, a.col_partition)
 
 
-def sub(a, b):
-    return add(a, scale(-1, b))
-
-
 def transpose(a):
-    entries = tuple(a.data.at(i, j) for j in range(a.cols) for i in range(a.rows))
+    columns = _submatrix(a.data.entries, range(a.cols), range(a.rows), 1, a.cols)
+    entries = tuple(x for column in columns for x in column)
     return SuperMatrix(DenseMatrix(a.cols, a.rows, entries), a.col_partition, a.row_partition)
 
 

@@ -41,7 +41,6 @@ class _Failure(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -51,10 +50,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _load(path):
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as e:
         raise _Failure(FAILED_READ, f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _Failure(FAILED_READ, f"{path}: not UTF-8 text: {e.reason}") from None
     try:
         return textio.parse(text)
     except ParseError as e:
@@ -96,120 +97,73 @@ def _report_text(report):
     )
 
 
-def _print_report(u, as_json, out):
+def _scalar(text):
+    try:
+        return textio.parse_scalar(text)
+    except ValueError as e:
+        raise _Failure(FAILED_READ, str(e)) from None
+
+
+def _operands(ns):
+    """The command's operands in declared order: files loaded, other values read."""
+    return [read(getattr(ns, dest)) for dest, read in ns.operands]
+
+
+def _cmd_report(ns, out, err):
+    (u,) = _operands(ns)
     report = union_class(u)
-    if as_json:
-        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
-    else:
-        out.write(_report_text(report))
-
-
-def _cmd_check(ns, out, err):
-    u = _load(ns.file)
-    _print_report(u, ns.json, out)
-    pair = improper_pair(u)
+    out.write(json.dumps(report.to_dict(), indent=2) + "\n" if ns.json else _report_text(report))
+    pair = improper_pair(u) if ns.gate else None
     if pair is not None:
         err.write(f"improper union: identical components {pair[0]} and {pair[1]}\n")
         return IMPROPER
     return OK
 
 
-def _cmd_classify(ns, out, err):
-    _print_report(_load(ns.file), ns.json, out)
-    return OK
-
-
-def _cmd_binary(op):
-    def handler(ns, out, err):
-        result = op(_load(ns.left), _load(ns.right))
-        _emit(textio.format(result), ns.output, out)
-        return OK
-
-    return handler
-
-
-def _cmd_unary(op):
-    def handler(ns, out, err):
-        result = op(_load(ns.file))
-        _emit(textio.format(result), ns.output, out)
-        return OK
-
-    return handler
-
-
-def _cmd_scale(ns, out, err):
-    try:
-        k = textio.parse_scalar(ns.scalar)
-    except ValueError as e:
-        raise _Failure(FAILED_READ, str(e)) from None
-    result = union_scale(k, _load(ns.file))
-    _emit(textio.format(result), ns.output, out)
-    return OK
-
-
-def _cmd_gram(ns, out, err):
-    result = union_gram(_load(ns.file), ns.side)
+def _cmd_produce(ns, out, err):
+    result = ns.op(*_operands(ns))
     _emit(textio.format(result), ns.output, out)
     return OK
 
 
 def _cmd_eq(ns, out, err):
-    same = (union_strict_eq if ns.mode == "strict" else union_value_eq)(
-        _load(ns.left), _load(ns.right)
-    )
+    same = (union_strict_eq if ns.mode == "strict" else union_value_eq)(*_operands(ns))
     out.write(_bool_word(same) + "\n")
     return OK
-
-
-def _add_output_option(p):
-    p.add_argument("-o", "--output", metavar="OUT", help="write result to OUT instead of stdout")
 
 
 def _build_parser():
     parser = _ArgumentParser(prog="smx", description="exact block-partitioned matrix tool")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("check", help="report on a file and flag improper unions")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    def command(name, summary, func, *arguments, **defaults):
+        """Add a subcommand; each argument is (flags, options, read), and read marks an operand."""
+        p = sub.add_parser(name, help=summary)
+        operands = []
+        for flags, kwargs, read in arguments:
+            dest = p.add_argument(*flags, **kwargs).dest
+            if read is not None:
+                operands.append((dest, read))
+        p.set_defaults(func=func, operands=operands, **defaults)
 
-    p = sub.add_parser("classify", help="report shapes and symmetry")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classify)
-
-    for name, op in (("add", union_add), ("sub", union_sub), ("mul", union_mul)):
-        p = sub.add_parser(name, help=f"{name} two files componentwise")
-        p.add_argument("left")
-        p.add_argument("right")
-        _add_output_option(p)
-        p.set_defaults(func=_cmd_binary(op))
-
-    p = sub.add_parser("scale", help="multiply every entry by a rational")
-    p.add_argument("scalar")
-    p.add_argument("file")
-    _add_output_option(p)
-    p.set_defaults(func=_cmd_scale)
-
-    for name, op in (("transpose", union_transpose), ("flatten", union_flatten)):
-        p = sub.add_parser(name, help=f"{name} each component")
-        p.add_argument("file")
-        _add_output_option(p)
-        p.set_defaults(func=_cmd_unary(op))
-
-    p = sub.add_parser("gram", help="multiply each component with its transpose")
-    p.add_argument("file")
-    p.add_argument("--side", choices=("left", "right"), required=True)
-    _add_output_option(p)
-    p.set_defaults(func=_cmd_gram)
-
-    p = sub.add_parser("eq", help="compare two files")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--mode", choices=("strict", "value"), required=True)
-    p.set_defaults(func=_cmd_eq)
-
+    file, left, right = (("file",), {}, _load), (("left",), {}, _load), (("right",), {}, _load)
+    as_json = ("--json",), {"action": "store_true"}, None
+    command("check", "report on a file and flag improper unions", _cmd_report, file, as_json, gate=True)
+    command("classify", "report shapes and symmetry", _cmd_report, file, as_json, gate=False)
+    output = ("-o", "--output"), {"metavar": "OUT", "help": "write result to OUT instead of stdout"}, None
+    side = ("--side",), {"choices": ("left", "right"), "required": True}, str
+    for name, summary, op, *arguments in (
+        ("add", "add two files componentwise", union_add, left, right),
+        ("sub", "sub two files componentwise", union_sub, left, right),
+        ("mul", "mul two files componentwise", union_mul, left, right),
+        ("scale", "multiply every entry by a rational", union_scale, (("scalar",), {}, _scalar), file),
+        ("transpose", "transpose each component", union_transpose, file),
+        ("flatten", "flatten each component", union_flatten, file),
+        ("gram", "multiply each component with its transpose", union_gram, file, side),
+    ):
+        command(name, summary, _cmd_produce, *arguments, output, op=op)
+    mode = ("--mode",), {"choices": ("strict", "value"), "required": True}, None
+    command("eq", "compare two files", _cmd_eq, left, right, mode)
     return parser
 
 
@@ -221,12 +175,9 @@ def run(argv=None, stdout=None, stderr=None):
     try:
         ns = _build_parser().parse_args(argv)
         return ns.func(ns, out, err)
-    except _Failure as f:
-        err.write(f.message + "\n")
-        return f.code
-    except (DimensionMismatch, PartitionMismatch, ArityMismatch) as e:
-        err.write(str(e) + "\n")
-        return INCOMPATIBLE
+    except (_Failure, DimensionMismatch, PartitionMismatch, ArityMismatch) as e:
+        err.write(f"{e}\n")
+        return e.code if isinstance(e, _Failure) else INCOMPATIBLE
     except SystemExit as e:
         return int(e.code or 0)
 

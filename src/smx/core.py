@@ -14,6 +14,7 @@ point is exactness.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 from .errors import (
     BlockIndexOutOfRange,
@@ -41,13 +42,14 @@ class Partition:
     cuts: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.length, int) or self.length < 1:
+        # type(), not isinstance: bool is an int subclass but never a length or a cut.
+        if type(self.length) is not int or self.length < 1:
             raise DimensionMismatch(f"axis length must be a positive integer, got {self.length!r}")
         cuts = tuple(self.cuts)
         object.__setattr__(self, "cuts", cuts)
         prev = 0
         for c in cuts:
-            if not isinstance(c, int) or c < 1 or c > self.length - 1:
+            if type(c) is not int or c < 1 or c > self.length - 1:
                 raise CutOutOfRange(c, self.length)
             if c == prev:
                 raise DuplicateCut(c)
@@ -69,10 +71,8 @@ class Partition:
         return (0,) + self.cuts + (self.length,)
 
     def blocks(self):
-        """Yield (start, stop) per block, 0-based half-open."""
-        edges = self.bounds
-        for i in range(len(edges) - 1):
-            yield edges[i], edges[i + 1]
+        """Iterate (start, stop) per block, 0-based half-open."""
+        return pairwise(self.bounds)
 
 
 def make_partition(length, cuts=()):
@@ -88,8 +88,10 @@ class DenseMatrix:
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionMismatch(f"matrix dimensions must be positive, got {self.rows}x{self.cols}")
+        if type(self.rows) is not int or type(self.cols) is not int or self.rows < 1 or self.cols < 1:
+            raise DimensionMismatch(
+                f"matrix dimensions must be positive integers, got {self.rows!r}x{self.cols!r}"
+            )
         entries = tuple(as_rational(x) for x in self.entries)
         if len(entries) != self.rows * self.cols:
             raise DimensionMismatch(
@@ -179,15 +181,23 @@ def grid_shape(s):
     return (s.row_partition.block_count, s.col_partition.block_count)
 
 
+def _submatrix(entries, rows, cols, row_step, col_step=1):
+    """Row slices of the submatrix ``rows`` x ``cols`` (ranges) of flat ``entries``.
+
+    Entry (r, c) sits at r * row_step + c * col_step: a row-major matrix w wide
+    has row_step=w; row_step=1, col_step=w reads it as its transpose.
+    """
+    first, span = cols.start * col_step, len(cols) * col_step
+    return [entries[r * row_step + first : r * row_step + first + span : col_step] for r in rows]
+
+
 def block(s, i, j):
     """Block (i, j) of the grid, 1-based, as a SuperMatrix with trivial partitions."""
     rb, cb = grid_shape(s)
     if not (1 <= i <= rb) or not (1 <= j <= cb):
         raise BlockIndexOutOfRange(f"block ({i}, {j}) outside {rb}x{cb} grid")
-    r0, r1 = list(s.row_partition.blocks())[i - 1]
-    c0, c1 = list(s.col_partition.blocks())[j - 1]
-    rows = [[s.data.at(r, c) for c in range(c0, c1)] for r in range(r0, r1)]
-    return make_super(rows)
+    r, c = s.row_partition.bounds, s.col_partition.bounds
+    return make_super(_submatrix(s.data.entries, range(r[i - 1], r[i]), range(c[j - 1], c[j]), s.cols))
 
 
 def flatten(s):
@@ -202,15 +212,9 @@ def strips(s, axis):
     the row partition. Re-stacking the strips in order recovers the original.
     """
     if axis == "row":
-        out = []
-        for r0, r1 in s.row_partition.blocks():
-            rows = [[s.data.at(r, c) for c in range(s.cols)] for r in range(r0, r1)]
-            out.append(make_super(rows, (), s.col_partition.cuts))
-        return out
-    if axis == "column":
-        out = []
-        for c0, c1 in s.col_partition.blocks():
-            rows = [[s.data.at(r, c) for c in range(c0, c1)] for r in range(s.rows)]
-            out.append(make_super(rows, s.row_partition.cuts, ()))
-        return out
-    raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+        pieces = [(range(r0, r1), range(s.cols), (), s.col_cuts) for r0, r1 in s.row_partition.blocks()]
+    elif axis == "column":
+        pieces = [(range(s.rows), range(c0, c1), s.row_cuts, ()) for c0, c1 in s.col_partition.blocks()]
+    else:
+        raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+    return [make_super(_submatrix(s.data.entries, r, c, s.cols), rc, cc) for r, c, rc, cc in pieces]

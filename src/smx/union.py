@@ -66,54 +66,55 @@ def is_semi_super(u):
     return any(flags) and not all(flags)
 
 
+def _lift(op, u):
+    """The union of op applied to each component."""
+    return make_union(map(op, u.components))
+
+
 def _lift_pairs(op, u, v, opname):
+    """Yield op over matched component pairs; errors name the 1-based component."""
     if u.arity != v.arity:
         raise ArityMismatch(f"cannot {opname} unions of arity {u.arity} and {v.arity}")
-    out = []
     for k, (a, b) in enumerate(zip(u.components, v.components), start=1):
         try:
-            out.append(op(a, b))
+            result = op(a, b)
         except (DimensionMismatch, PartitionMismatch) as e:
             raise type(e)(f"component {k}: {e}", component=k) from e
-    return SuperNMatrix(tuple(out))
+        yield result
 
 
 def union_add(u, v):
-    return _lift_pairs(algebra.add, u, v, "add")
+    return make_union(_lift_pairs(algebra.add, u, v, "add"))
 
 
 def union_sub(u, v):
-    return _lift_pairs(algebra.sub, u, v, "subtract")
+    return make_union(_lift_pairs(algebra.sub, u, v, "subtract"))
 
 
 def union_scale(k, u):
-    return SuperNMatrix(tuple(algebra.scale(k, c) for c in u.components))
+    return _lift(lambda c: algebra.scale(k, c), u)
 
 
 def union_transpose(u):
-    return SuperNMatrix(tuple(algebra.transpose(c) for c in u.components))
+    return _lift(algebra.transpose, u)
 
 
 def union_mul(u, v):
-    return _lift_pairs(lambda a, b: algebra.super_mul(a, b)[0], u, v, "multiply")
+    return make_union(_lift_pairs(lambda a, b: algebra.super_mul(a, b)[0], u, v, "multiply"))
 
 
 def union_gram(u, side="right"):
-    return SuperNMatrix(tuple(algebra.gram(c, side) for c in u.components))
+    return _lift(lambda c: algebra.gram(c, side), u)
 
 
 def union_flatten(u):
     """Forget every partition; components become simple."""
-    return SuperNMatrix(tuple(make_super(c.data) for c in u.components))
+    return _lift(lambda c: make_super(c.data), u)
 
 
 def union_value_eq(u, v):
-    if u.arity != v.arity:
-        return False
-    return all(algebra.value_eq(a, b) for a, b in zip(u.components, v.components))
+    return u.arity == v.arity and all(_lift_pairs(algebra.value_eq, u, v, "compare"))
 
 
 def union_strict_eq(u, v):
-    if u.arity != v.arity:
-        return False
-    return all(algebra.strict_eq(a, b) for a, b in zip(u.components, v.components))
+    return u.arity == v.arity and all(_lift_pairs(algebra.strict_eq, u, v, "compare"))

@@ -98,6 +98,21 @@ class TestSub:
         assert all(x == 0 for x in flatten(z).entries)
         assert z.row_partition == fx.TALL_7X5.row_partition
 
+    @pytest.mark.parametrize(
+        "pair, error",
+        [
+            ((fx.SCALE_BASE, fx.SYM_4X4), DimensionMismatch),
+            (fx.ADD_MISMATCH_PAIR, PartitionMismatch),
+            ((make_super([[1, 2]], (), [1]), make_super([[1, 2]])), PartitionMismatch),
+        ],
+    )
+    def test_errors_match_add(self, pair, error):
+        with pytest.raises(error) as from_add:
+            add(*pair)
+        with pytest.raises(error) as from_sub:
+            sub(*pair)
+        assert str(from_sub.value) == str(from_add.value)
+
     @given(sts.same_layout(count=2))
     def test_add_back(self, pair):
         a, b = pair

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import fixtures as fx
 import smx
 from smx.cli import run
@@ -76,6 +78,34 @@ class TestArithmeticCommands:
         assert code == 0
         assert out == ""
         assert target.read_text() == smx.format(fx.TALL_7X5_T)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["add", "a.smx", "b.smx"],
+            ["sub", "a.smx", "b.smx"],
+            ["mul", "l.smx", "r.smx"],
+            ["scale", "7/2", "a.smx"],
+            ["transpose", "l.smx"],
+            ["flatten", "a.smx"],
+            ["gram", "r.smx", "--side", "left"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_output_file_matches_stdout(self, tmp_path, args):
+        for name, union in (
+            ("a.smx", fx.UNION_ADD_A),
+            ("b.smx", fx.UNION_ADD_B),
+            ("l.smx", fx.UNION_MUL_LEFT),
+            ("r.smx", fx.UNION_MUL_RIGHT),
+        ):
+            write_smx(tmp_path, name, union)
+        args = [str(tmp_path / a) if a.endswith(".smx") else a for a in args]
+        code, printed, err = invoke(args)
+        assert (code, err) == (0, "")
+        target = tmp_path / "out.smx"
+        assert invoke(args + ["-o", str(target)]) == (0, "", "")
+        assert target.read_bytes() == printed.encode()
 
     def test_flatten_drops_cuts(self, tmp_path):
         f = write_smx(tmp_path, "m.smx", fx.QUAD_6X6)
@@ -188,6 +218,18 @@ class TestFailures:
         assert code == 1
         assert out == ""
         assert "nope.smx" in err
+
+    def test_undecodable_input_exits_1(self, tmp_path):
+        f = tmp_path / "bad.smx"
+        f.write_bytes(b"\xff[ 1 ]\n")
+        code, out, err = invoke(["check", str(f)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{f}: ") and err.count("\n") == 1
+
+    def test_leading_bom_accepted(self, tmp_path):
+        f = tmp_path / "bom.smx"
+        f.write_bytes("\ufeff[ 1 2 ]\n".encode())
+        assert invoke(["transpose", str(f)]) == (0, "[ 1\n  2 ]\n", "")
 
     def test_parse_error_carries_position(self, tmp_path):
         f = write_smx(tmp_path, "bad.smx", "[ 1 2\n3 ]")

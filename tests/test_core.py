@@ -42,7 +42,7 @@ class TestPartition:
     def test_single_position_axis(self):
         assert make_partition(1).block_count == 1
 
-    @pytest.mark.parametrize("cut", [0, -1, 5, 99])
+    @pytest.mark.parametrize("cut", [0, -1, 5, 99, True])
     def test_cut_out_of_range(self, cut):
         with pytest.raises(CutOutOfRange):
             make_partition(5, [cut])
@@ -59,6 +59,11 @@ class TestPartition:
         with pytest.raises(DimensionMismatch):
             make_partition(0)
 
+    @pytest.mark.parametrize("length", [True, 3.0])
+    def test_non_int_length(self, length):
+        with pytest.raises(DimensionMismatch):
+            make_partition(length)
+
 
 class TestDenseMatrix:
     def test_from_rows(self):
@@ -74,6 +79,13 @@ class TestDenseMatrix:
     def test_entry_count_checked(self):
         with pytest.raises(DimensionMismatch):
             DenseMatrix(2, 2, (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "rows, cols, entries", [(2.0, 1, (1, 2)), (1, 2.0, (1, 2)), (True, 1, (1,)), (1, True, (1,))]
+    )
+    def test_non_int_dimensions_rejected(self, rows, cols, entries):
+        with pytest.raises(DimensionMismatch):
+            DenseMatrix(rows, cols, entries)
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
