@@ -9,8 +9,10 @@ column partition, and the shared inner partition is reported in a witness
 rather than in the result.
 """
 
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import DenseMatrix, Partition, SuperMatrix, _submatrix, as_rational
 from .errors import DimensionMismatch, PartitionMismatch
@@ -71,15 +73,20 @@ def transpose(a):
     return SuperMatrix(DenseMatrix(a.cols, a.rows, entries), a.col_partition, a.row_partition)
 
 
+def _over_lcm(xs):
+    """(integer numerators over one common denominator, that denominator)."""
+    d = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
 def _dense_mul(a, b):
+    """Rows of a and columns of b over their own lcm denominators: each product
+    entry is one integer dot product and one Fraction, not k Fraction sums."""
     n, k, m = a.rows, a.cols, b.cols
-    out = []
-    for i in range(n):
-        arow = a.entries[i * k : (i + 1) * k]
-        for j in range(m):
-            acc = sum(arow[t] * b.entries[t * m + j] for t in range(k))
-            out.append(acc)
-    return DenseMatrix(n, m, tuple(out))
+    rows = [_over_lcm(a.entries[i * k : (i + 1) * k]) for i in range(n)]
+    cols = [_over_lcm(b.entries[j::m]) for j in range(m)]
+    out = tuple(Fraction(sum(map(operator.mul, r, c)), p * q) for r, p in rows for c, q in cols)
+    return DenseMatrix(n, m, out)
 
 
 def super_mul(a, b):

@@ -9,9 +9,13 @@ happens to carry its (empty) partition data along.
 
 Entries are fractions.Fraction throughout. Floats are refused rather than
 converted: binary floats would smuggle rounding into a library whose whole
-point is exactness.
+point is exactness. A string entry has one grammar wherever it comes from
+(a .smx file, the CLI scalar, make_super): an optional '-', ASCII digits,
+and optionally '/' and more ASCII digits. Numbers of any length are read
+and written without touching Python's process-wide int/str digit limit.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
@@ -26,9 +30,61 @@ from .errors import (
 
 Rational = Fraction
 
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _int(digits):
+    """int(digits) for an optionally signed ASCII digit string of any length."""
+    try:
+        return int(digits)
+    except ValueError:  # longer than the int/str digit limit: read it in halves
+        if digits[0] == "-":
+            return -_int(digits[1:])
+        half = len(digits) // 2
+        return _int(digits[:-half]) * 10**half + _int(digits[-half:])
+
+
+def _str(n):
+    """str(n) for an int of any size."""
+    try:
+        return str(n)
+    except ValueError:  # longer than the int/str digit limit: write it in halves
+        if n < 0:
+            return "-" + _str(-n)
+        half = n.bit_length() * 3 // 20  # about half of its decimal digits
+        high, low = divmod(n, 10**half)
+        return _str(high) + _str(low).zfill(half)
+
+
+def parse_scalar(text):
+    """One rational like '-3' or '7/2'. Raises ValueError on anything else."""
+    m = _SCALAR.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"invalid rational {text!r}")
+    numerator, denominator = m.groups()
+    if denominator is None:
+        return Fraction(_int(numerator))
+    denominator = _int(denominator)
+    if not denominator:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(_int(numerator), denominator)
+
+
+def format_scalar(x):
+    """The text of one Fraction entry, as str(x) writes it, at any size."""
+    try:
+        return str(x)
+    except ValueError:  # beyond the int/str digit limit
+        n = _str(x.numerator)
+        return n if x.denominator == 1 else f"{n}/{_str(x.denominator)}"
+
 
 def as_rational(x):
-    """Coerce int / Fraction / numeric string to Fraction. Floats are rejected."""
+    """Coerce int / Fraction / scalar string to Fraction. Floats are rejected."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, str):
+        return parse_scalar(x)
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; use Fraction or a string like '7/2'")
     return Fraction(x)

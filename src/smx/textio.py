@@ -1,9 +1,9 @@
 """Read and write the .smx text form of supermatrix unions.
 
-A component sits between brackets. Entries are integers or fractions in
-lowest terms, rows end at a newline or ';', a '|' marks a column cut, and a
-whole line of dashes (optionally with '+') marks a row cut. A line holding
-only 'U' separates components:
+A component sits between brackets. Entries are integers or fractions
+('-3', '7/2'; the grammar is core.parse_scalar's), rows end at a newline or
+';', a '|' marks a column cut, and a whole line of dashes (optionally with
+'+') marks a row cut. A line holding only 'U' separates components:
 
     [ 3 0 | 1
       2 1 | 1
@@ -12,34 +12,25 @@ only 'U' separates components:
     U
     [ 7/2 -1 ]
 
-Parsing accepts CRLF and flexible spacing. Formatting is canonical: cells
+Parsing accepts CRLF, flexible spacing and fractions not in lowest terms
+('2/4' reads as 1/2). Formatting is canonical: lowest terms, cells
 right-aligned per column, single spaces inside a block, ' | ' at column
 cuts, rule lines with '+' under each '|', LF newlines, trailing newline.
 parse(format(u)) reproduces u exactly and format is idempotent.
 """
 
 import re
-from fractions import Fraction
 
-from .core import SuperMatrix, make_super
+from .core import SuperMatrix, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
-_SCALAR = re.compile(r"-?\d+(?:/\d+)?\Z")
 _RULE = re.compile(r"[-+]+\Z")
 _SEPARATORS = ("U", "∪")
-_SCALAR_CHARS = set("0123456789/+-")
-
-
-def parse_scalar(text):
-    """One rational like '-3' or '7/2'. Raises ValueError on anything else."""
-    token = text.strip()
-    if not _SCALAR.match(token):
-        raise ValueError(f"invalid rational {text!r}")
-    try:
-        return Fraction(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+# A run of scalar characters, or any other single character; spaces and tabs
+# between tokens are skipped. '+' stays in the run so that '1+2' is reported
+# whole, as an invalid rational.
+_TOKEN = re.compile(r"(?P<scalar>[-+/0-9]+)|[^ \t]")
 
 
 def _is_rule(stripped):
@@ -114,43 +105,28 @@ class _ComponentReader:
 
 def _scan_line(line, start, line_no, reader):
     """Scan component content from 0-based index start. SuperMatrix if ']' closes it."""
-    i = start
-    while i < len(line):
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "|":
-            reader.add_col_cut(line_no, i + 1)
-            i += 1
-            continue
-        if ch == ";":
-            reader.end_row(line_no, i + 1, explicit=True)
-            i += 1
-            continue
-        if ch == "]":
-            reader.end_row(line_no, i + 1, explicit=False)
-            result = reader.close(line_no, i + 1)
-            j = i + 1
-            while j < len(line) and line[j] in " \t":
-                j += 1
-            if j < len(line):
-                raise ParseError("unexpected text after ']'", line_no, j + 1)
-            return result
-        if ch == "[":
-            raise ParseError("unexpected '[' inside a component", line_no, i + 1)
-        if ch in _SCALAR_CHARS:
-            j = i
-            while j < len(line) and line[j] in _SCALAR_CHARS:
-                j += 1
-            token = line[i:j]
+    for m in _TOKEN.finditer(line, start):
+        token, col = m.group(), m.start() + 1
+        if m.lastgroup:
             try:
                 reader.add_scalar(parse_scalar(token))
             except ValueError as e:
-                raise ParseError(str(e), line_no, i + 1) from None
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
+                raise ParseError(str(e), line_no, col) from None
+        elif token == "|":
+            reader.add_col_cut(line_no, col)
+        elif token == ";":
+            reader.end_row(line_no, col, explicit=True)
+        elif token == "]":
+            reader.end_row(line_no, col, explicit=False)
+            result = reader.close(line_no, col)
+            rest = _TOKEN.search(line, m.end())
+            if rest:
+                raise ParseError("unexpected text after ']'", line_no, rest.start() + 1)
+            return result
+        elif token == "[":
+            raise ParseError("unexpected '[' inside a component", line_no, col)
+        else:
+            raise ParseError(f"unexpected character {token!r}", line_no, col)
     reader.end_row(line_no, len(line) + 1, explicit=False)
     return None
 
@@ -163,17 +139,24 @@ def parse(text):
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         stripped = line.strip()
+        if not stripped:
+            continue
         col = len(line) - len(line.lstrip()) + 1
-        if reader is None:
-            if not stripped:
+        if stripped in _SEPARATORS:
+            if reader is not None:
+                raise ParseError("union separator inside a component", line_no, col)
+            if not components:
+                raise ParseError("union separator before the first component", line_no, col)
+            if pending_sep:
+                raise ParseError("consecutive union separators", line_no, col)
+            pending_sep = (line_no, col)
+            continue
+        if reader is not None:
+            if _is_rule(stripped):
+                reader.add_row_cut(line_no, col)
                 continue
-            if stripped in _SEPARATORS:
-                if not components:
-                    raise ParseError("union separator before the first component", line_no, col)
-                if pending_sep:
-                    raise ParseError("consecutive union separators", line_no, col)
-                pending_sep = (line_no, col)
-                continue
+            result = _scan_line(line, 0, line_no, reader)
+        else:
             if stripped[0] != "[":
                 raise ParseError("expected '[' to open a component", line_no, col)
             if components and not pending_sep:
@@ -181,15 +164,6 @@ def parse(text):
             pending_sep = None
             reader = _ComponentReader(line_no, col)
             result = _scan_line(line, col, line_no, reader)
-        else:
-            if not stripped:
-                continue
-            if stripped in _SEPARATORS:
-                raise ParseError("union separator inside a component", line_no, col)
-            if _is_rule(stripped):
-                reader.add_row_cut(line_no, col)
-                continue
-            result = _scan_line(line, 0, line_no, reader)
         if result is not None:
             components.append(result)
             reader = None
@@ -203,7 +177,7 @@ def parse(text):
 
 
 def _format_component(s):
-    cells = [[str(x) for x in row] for row in s.data.to_rows()]
+    cells = [[format_scalar(x) for x in row] for row in s.data.to_rows()]
     widths = [max(len(cells[r][c]) for r in range(s.rows)) for c in range(s.cols)]
     groups = list(s.col_partition.blocks())
     body = []

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 import smx
@@ -63,6 +65,13 @@ class TestArithmeticCommands:
         code, _, err = invoke(["scale", "1/oops", f])
         assert code == 1
         assert "invalid rational" in err
+
+    def test_mul_beyond_the_int_str_digit_limit(self, tmp_path):
+        sevens = 7 * (10**2500 - 1) // 9
+        f = write_smx(tmp_path, "big.smx", f"[ {'7' * 2500} ]\n")
+        code, out, err = invoke(["mul", f, f])
+        assert (code, err) == (0, "")
+        assert smx.parse(out).components[0].data.entries == (sevens**2,)
 
     def test_sub_round_trips(self, tmp_path):
         a = write_smx(tmp_path, "a.smx", fx.UNION_ADD_SUM)
@@ -225,6 +234,16 @@ class TestFailures:
         code, out, err = invoke(["check", str(f)])
         assert (code, out) == (1, "")
         assert err.startswith(f"{f}: ") and err.count("\n") == 1
+
+    @given(st.binary(max_size=80) | st.text("[]|;U∪-+/0123456789 \n\r\t\v\xa0", max_size=80).map(str.encode))
+    @settings(max_examples=200)
+    def test_any_bytes_end_in_an_exit_code(self, tmp_path_factory, data):
+        f = tmp_path_factory.mktemp("fuzz") / "in.smx"
+        f.write_bytes(data)
+        code, _, err = invoke(["check", str(f)])
+        assert code in (0, 1, 3)
+        if code == 1:
+            assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_leading_bom_accepted(self, tmp_path):
         f = tmp_path / "bom.smx"

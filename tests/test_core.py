@@ -91,6 +91,11 @@ class TestDenseMatrix:
         with pytest.raises(TypeError):
             DenseMatrix.from_rows([[0.5]])
 
+    @pytest.mark.parametrize("text", ["0.1", "1e3", "1_000", "+3", "\u0663"])
+    def test_strings_outside_the_scalar_grammar_rejected(self, text):
+        with pytest.raises(ValueError):
+            make_super([[text]])
+
     def test_string_entries_coerced(self):
         m = DenseMatrix.from_rows([["7/2", "-3"]])
         assert m.at(0, 0) == Fraction(7, 2)

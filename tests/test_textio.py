@@ -55,41 +55,53 @@ class TestParse:
         assert u.components[0].row_cuts == (1,)
 
 
+# (text, error type, line, column, message)
+PARSE_ERRORS = [
+    ("", EmptyInput, 1, 1, "empty input"),
+    ("   \n\n", EmptyInput, 1, 1, "empty input"),
+    ("x", ParseError, 1, 1, "expected '[' to open a component"),
+    ("[ 1 2\n3 ]", RaggedRows, 2, 3, "row 2 has 1 entries, previous rows have 2"),
+    ("[ 1 | 2\n3 4 ]", InconsistentCuts, 2, 5, "row 2 cuts at [], previous rows at [1]"),
+    ("[ 1 || 2 ]", ParseError, 1, 6, "duplicate column cut"),
+    ("[ | 1 ]", ParseError, 1, 3, "column cut before the first entry of a row"),
+    ("[ 1 | ]", ParseError, 1, 7, "column cut after the last entry of a row"),
+    ("[ 1 ; ; 2 ]", ParseError, 1, 7, "empty row"),
+    ("[\n--\n1 ]", ParseError, 2, 1, "row cut before the first row"),
+    ("[ 1\n--\n--\n2 ]", ParseError, 3, 1, "duplicate row cut"),
+    ("[ 1\n--\n]", ParseError, 3, 1, "row cut after the last row"),
+    ("[ ]", ParseError, 1, 3, "component has no rows"),
+    ("[ 1 ] x", ParseError, 1, 7, "unexpected text after ']'"),
+    ("[ 1 ]\tx", ParseError, 1, 7, "unexpected text after ']'"),
+    ("[ [ ]", ParseError, 1, 3, "unexpected '[' inside a component"),
+    ("[ 1 @ ]", ParseError, 1, 5, "unexpected character '@'"),
+    ("[\t1\t@ ]", ParseError, 1, 5, "unexpected character '@'"),
+    ("[ 1\v2 ]", ParseError, 1, 4, "unexpected character '\\x0b'"),
+    ("[ 1\xa02 ]", ParseError, 1, 4, "unexpected character '\\xa0'"),
+    ("[ \u0663 ]", ParseError, 1, 3, "unexpected character '\u0663'"),
+    ("[ 1+2 ]", ParseError, 1, 3, "invalid rational '1+2'"),
+    ("[ 1/0 ]", ParseError, 1, 3, "zero denominator in '1/0'"),
+    ("[ 1", ParseError, 1, 1, "component is never closed"),
+    ("[1]\nU", ParseError, 2, 1, "union separator with no component after it"),
+    ("U\n[1]", ParseError, 1, 1, "union separator before the first component"),
+    ("[1]\nU\nU\n[2]", ParseError, 3, 1, "consecutive union separators"),
+    ("[1]\n[2]", ParseError, 2, 1, "expected 'U' between components"),
+    ("[ 1\nU\n2 ]", ParseError, 2, 1, "union separator inside a component"),
+]
+
+
 class TestParseErrors:
+    # Ids name the text, type and position; the message is checked but kept out of the id.
     @pytest.mark.parametrize(
-        "text,kind,line,col",
-        [
-            ("", EmptyInput, 1, 1),
-            ("   \n\n", EmptyInput, 1, 1),
-            ("x", ParseError, 1, 1),
-            ("[ 1 2\n3 ]", RaggedRows, 2, 3),
-            ("[ 1 | 2\n3 4 ]", InconsistentCuts, 2, 5),
-            ("[ 1 || 2 ]", ParseError, 1, 6),
-            ("[ | 1 ]", ParseError, 1, 3),
-            ("[ 1 | ]", ParseError, 1, 7),
-            ("[ 1 ; ; 2 ]", ParseError, 1, 7),
-            ("[\n--\n1 ]", ParseError, 2, 1),
-            ("[ 1\n--\n--\n2 ]", ParseError, 3, 1),
-            ("[ 1\n--\n]", ParseError, 3, 1),
-            ("[ ]", ParseError, 1, 3),
-            ("[ 1 ] x", ParseError, 1, 7),
-            ("[ [ ]", ParseError, 1, 3),
-            ("[ 1 @ ]", ParseError, 1, 5),
-            ("[ 1+2 ]", ParseError, 1, 3),
-            ("[ 1/0 ]", ParseError, 1, 3),
-            ("[ 1", ParseError, 1, 1),
-            ("[1]\nU", ParseError, 2, 1),
-            ("U\n[1]", ParseError, 1, 1),
-            ("[1]\nU\nU\n[2]", ParseError, 3, 1),
-            ("[1]\n[2]", ParseError, 2, 1),
-            ("[ 1\nU\n2 ]", ParseError, 2, 1),
-        ],
+        "text,kind,line,col,message",
+        PARSE_ERRORS,
+        ids=[f"{text}-{kind.__name__}-{line}-{col}" for text, kind, line, col, _ in PARSE_ERRORS],
     )
-    def test_position_and_type(self, text, kind, line, col):
+    def test_position_and_type(self, text, kind, line, col, message):
         with pytest.raises(kind) as exc:
             parse(text)
         assert exc.value.line == line
         assert exc.value.column == col
+        assert exc.value.message == message
 
     def test_messages_carry_position(self):
         with pytest.raises(ParseError) as exc:
@@ -105,6 +117,14 @@ class TestParseErrors:
             lines = [ln[:-1] if ln.endswith("\r") else ln for ln in text.split("\n")]
             assert 1 <= e.line <= len(lines)
             assert 1 <= e.column <= len(lines[e.line - 1]) + 1
+
+    @given(st.text(max_size=60))
+    @settings(max_examples=200)
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 class TestFormat:
@@ -131,6 +151,12 @@ class TestFormat:
         body, rule = text.split("\n")[0], text.split("\n")[2]
         assert rule.index("+") == body.index("|")
 
+    def test_entries_beyond_the_int_str_digit_limit(self):
+        s = make_super([[Fraction(-(10**5000 - 1), 10**4999), 1]])
+        text = format(s)
+        assert text == "[ -" + "9" * 5000 + "/1" + "0" * 4999 + " 1 ]\n"
+        assert union_strict_eq(parse(text), make_union([s]))
+
     def test_wrong_type(self):
         with pytest.raises(TypeError):
             format([[1, 2]])
@@ -152,7 +178,7 @@ class TestParseScalar:
         assert parse_scalar("-3") == -3
         assert parse_scalar(" 7/2 ") == Fraction(7, 2)
 
-    @pytest.mark.parametrize("bad", ["", "x", "1.5", "+3", "3/0", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["", "x", "1.5", "+3", "3/0", "1/2/3", "1e3", "0.1", "1_000", "\u0663"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_scalar(bad)
