@@ -34,7 +34,7 @@ def value_eq(a, b):
 
 def strict_eq(a, b):
     """Same entries and the same partitions on both axes."""
-    return value_eq(a, b) and a.row_partition == b.row_partition and a.col_partition == b.col_partition
+    return a.row_partition == b.row_partition and a.col_partition == b.col_partition and value_eq(a, b)
 
 
 def _entrywise(op, a, b):

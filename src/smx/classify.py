@@ -1,9 +1,14 @@
-"""Shape and symmetry taxonomy.
+"""Shape, symmetry and properness taxonomy.
 
 Single supermatrices fall into four shapes by which axes carry cuts. Unions
 get a collective label: vector families first (components cut along one
 axis only), then uniform or mixed square/rectangular families. A union is
-symmetric when every component is, quasi symmetric when at least one is.
+symmetric when every component is, quasi symmetric when at least one is,
+and semi super when it mixes simple and partitioned components.
+
+A union is proper unless two components coincide exactly (entries and
+partitions), with two carve-outs: a single component is always proper, and
+a union in which every component is zero is proper by convention.
 
 Symmetry here is stricter than entry symmetry: the matrix must be square,
 the two partitions must coincide, and entries must mirror. A square matrix
@@ -11,9 +16,10 @@ with mirrored entries but different row and column cuts is not symmetric as
 a supermatrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import combinations
 
-from .union import improper_pair, is_semi_super
+from . import algebra
 
 SIMPLE = "simple"
 ROW_SUPERVECTOR = "row_supervector"
@@ -43,14 +49,8 @@ class ClassReport:
     proper: bool
 
     def to_dict(self):
-        return {
-            "arity": self.arity,
-            "component_shapes": list(self.component_shapes),
-            "union_shape": self.union_shape,
-            "symmetry": self.symmetry,
-            "semi_super": self.semi_super,
-            "proper": self.proper,
-        }
+        """The fields in declared order, with component_shapes as a list."""
+        return {**asdict(self), "component_shapes": list(self.component_shapes)}
 
 
 def shape_class(s):
@@ -114,12 +114,36 @@ def union_shape(u):
     return MIXED
 
 
+def improper_pair(u):
+    """First (i, j), 1-based, with identical components; None if proper."""
+    if u.arity == 1 or all(x == 0 for c in u.components for x in c.data.entries):
+        return None
+    for (i, a), (j, b) in combinations(enumerate(u.components, start=1), 2):
+        if algebra.strict_eq(a, b):
+            return (i, j)
+    return None
+
+
+def is_proper(u):
+    return improper_pair(u) is None
+
+
+def _mixes_simple(shapes):
+    return 0 < shapes.count(SIMPLE) < len(shapes)
+
+
+def is_semi_super(u):
+    """True when the union mixes simple and partitioned components."""
+    return _mixes_simple([shape_class(c) for c in u.components])
+
+
 def union_class(u):
+    shapes = tuple(shape_class(c) for c in u.components)
     return ClassReport(
         arity=u.arity,
-        component_shapes=tuple(shape_class(c) for c in u.components),
+        component_shapes=shapes,
         union_shape=union_shape(u),
         symmetry=symmetry_class(u),
-        semi_super=is_semi_super(u),
-        proper=improper_pair(u) is None,
+        semi_super=_mixes_simple(shapes),
+        proper=is_proper(u),
     )

@@ -16,10 +16,9 @@ import sys
 import tempfile
 
 from . import textio
-from .classify import union_class
+from .classify import improper_pair, union_class
 from .errors import ArityMismatch, DimensionMismatch, ParseError, PartitionMismatch
 from .union import (
-    improper_pair,
     union_add,
     union_flatten,
     union_gram,
@@ -50,7 +49,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _load(path):
     try:
-        with open(path, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             text = f.read()
     except OSError as e:
         raise _Failure(FAILED_READ, f"{path}: {e.strerror or e}") from None
@@ -87,14 +86,8 @@ def _bool_word(flag):
 
 
 def _report_text(report):
-    return (
-        f"arity: {report.arity}\n"
-        f"component_shapes: {', '.join(report.component_shapes)}\n"
-        f"union_shape: {report.union_shape}\n"
-        f"symmetry: {report.symmetry}\n"
-        f"semi_super: {_bool_word(report.semi_super)}\n"
-        f"proper: {_bool_word(report.proper)}\n"
-    )
+    words = {list: ", ".join, bool: _bool_word, int: str, str: str}
+    return "".join(f"{k}: {words[type(v)](v)}\n" for k, v in report.to_dict().items())
 
 
 def _scalar(text):
@@ -113,9 +106,9 @@ def _cmd_report(ns, out, err):
     (u,) = _operands(ns)
     report = union_class(u)
     out.write(json.dumps(report.to_dict(), indent=2) + "\n" if ns.json else _report_text(report))
-    pair = improper_pair(u) if ns.gate else None
-    if pair is not None:
-        err.write(f"improper union: identical components {pair[0]} and {pair[1]}\n")
+    if ns.gate and not report.proper:
+        i, j = improper_pair(u)
+        err.write(f"improper union: identical components {i} and {j}\n")
         return IMPROPER
     return OK
 

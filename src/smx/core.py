@@ -31,6 +31,7 @@ from .errors import (
 Rational = Fraction
 
 _SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_BLANKS = " \t"  # the only whitespace the .smx text form allows
 
 
 def _int(digits):
@@ -58,7 +59,7 @@ def _str(n):
 
 def parse_scalar(text):
     """One rational like '-3' or '7/2'. Raises ValueError on anything else."""
-    m = _SCALAR.fullmatch(text.strip())
+    m = _SCALAR.fullmatch(text.strip(_BLANKS))
     if m is None:
         raise ValueError(f"invalid rational {text!r}")
     numerator, denominator = m.groups()

@@ -12,25 +12,26 @@ A component sits between brackets. Entries are integers or fractions
     U
     [ 7/2 -1 ]
 
-Parsing accepts CRLF, flexible spacing and fractions not in lowest terms
-('2/4' reads as 1/2). Formatting is canonical: lowest terms, cells
-right-aligned per column, single spaces inside a block, ' | ' at column
-cuts, rule lines with '+' under each '|', LF newlines, trailing newline.
+Parsing accepts LF or CRLF line ends, any run of spaces and tabs between
+tokens (no other blank) and fractions not in lowest terms ('2/4' reads as
+1/2). Formatting is canonical: lowest terms, cells right-aligned per
+column, single spaces inside a block, ' | ' at column cuts, rule lines with
+'+' under each '|', LF newlines, trailing newline.
 parse(format(u)) reproduces u exactly and format is idempotent.
 """
 
 import re
 
-from .core import SuperMatrix, format_scalar, make_super, parse_scalar
+from .core import SuperMatrix, _BLANKS, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
 _RULE = re.compile(r"[-+]+\Z")
 _SEPARATORS = ("U", "∪")
-# A run of scalar characters, or any other single character; spaces and tabs
-# between tokens are skipped. '+' stays in the run so that '1+2' is reported
-# whole, as an invalid rational.
-_TOKEN = re.compile(r"(?P<scalar>[-+/0-9]+)|[^ \t]")
+# A run of scalar characters, or any other single character; blanks between
+# tokens are skipped. '+' stays in the run so that '1+2' is reported whole,
+# as an invalid rational.
+_TOKEN = re.compile(rf"(?P<scalar>[-+/0-9]+)|[^{_BLANKS}]")
 
 
 def _is_rule(stripped):
@@ -138,10 +139,10 @@ def parse(text):
     pending_sep = None
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        stripped = line.strip()
+        stripped = line.strip(_BLANKS)
         if not stripped:
             continue
-        col = len(line) - len(line.lstrip()) + 1
+        col = len(line) - len(line.lstrip(_BLANKS)) + 1
         if stripped in _SEPARATORS:
             if reader is not None:
                 raise ParseError("union separator inside a component", line_no, col)

@@ -1,10 +1,9 @@
 """Ordered unions of supermatrices.
 
 A SuperNMatrix is a finite nonempty sequence of supermatrix components.
-Operations lift componentwise and demand equal arity. A union is proper
-unless two components coincide exactly (entries and partitions), with two
-carve-outs: a single component is always proper, and a union in which every
-component is zero is proper by convention.
+Operations lift componentwise and demand equal arity; pairwise operations
+name the 1-based component that failed. The shape, symmetry and properness
+of a union are decided in classify.
 """
 
 from dataclasses import dataclass
@@ -33,37 +32,6 @@ class SuperNMatrix:
 
 def make_union(components):
     return SuperNMatrix(tuple(components))
-
-
-def _is_zero(s):
-    return all(x == 0 for x in s.data.entries)
-
-
-def improper_pair(u):
-    """First (i, j), 1-based, with identical components; None if proper."""
-    if u.arity == 1:
-        return None
-    if all(_is_zero(c) for c in u.components):
-        return None
-    for i in range(u.arity):
-        for j in range(i + 1, u.arity):
-            if algebra.strict_eq(u.components[i], u.components[j]):
-                return (i + 1, j + 1)
-    return None
-
-
-def is_proper(u):
-    return improper_pair(u) is None
-
-
-def _is_partitioned(s):
-    return not (s.row_partition.is_trivial and s.col_partition.is_trivial)
-
-
-def is_semi_super(u):
-    """True when the union mixes partitioned and unpartitioned components."""
-    flags = [_is_partitioned(c) for c in u.components]
-    return any(flags) and not all(flags)
 
 
 def _lift(op, u):

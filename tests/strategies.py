@@ -68,6 +68,15 @@ def unions(draw, max_components=4, max_rows=5, max_cols=5):
 
 
 @st.composite
+def unions_with_repeats(draw, max_components=4):
+    """Unions that may repeat one of their components, so both proper and improper occur."""
+    comps = list(draw(unions(max_components=max_components)).components)
+    if draw(st.booleans()):
+        comps.insert(draw(st.integers(0, len(comps))), draw(st.sampled_from(comps)))
+    return make_union(comps)
+
+
+@st.composite
 def union_pairs_same_layout(draw, max_components=3):
     """Two unions whose components pair up with identical layouts."""
     arity = draw(st.integers(1, max_components))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import fixtures as fx
 import oracles as orc
@@ -37,6 +38,13 @@ class TestEquality:
 
     def test_value_eq_different_entries(self):
         assert not value_eq(fx.SCALE_BASE, fx.SCALE_TRIPLE)
+
+    @given(sts.supermatrices(max_rows=4, max_cols=4), st.data())
+    def test_strict_eq_is_value_eq_and_equal_partitions(self, a, data):
+        rows = flatten(a).to_rows()
+        b = make_super(rows, data.draw(sts.cuts_for(a.rows)), data.draw(sts.cuts_for(a.cols)))
+        same_cuts = a.row_partition == b.row_partition and a.col_partition == b.col_partition
+        assert strict_eq(a, b) == (value_eq(a, b) and same_cuts)
 
 
 class TestAdd:

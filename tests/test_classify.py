@@ -3,6 +3,9 @@ from hypothesis import given
 import fixtures as fx
 import strategies as sts
 from smx import (
+    improper_pair,
+    is_proper,
+    is_semi_super,
     is_symmetric_super,
     make_super,
     make_union,
@@ -177,3 +180,9 @@ class TestUnionClass:
             "proper",
         ]
         assert isinstance(d["component_shapes"], list)
+
+    @given(sts.unions_with_repeats())
+    def test_report_agrees_with_the_predicates(self, u):
+        rep = union_class(u)
+        assert rep.proper == is_proper(u) == (improper_pair(u) is None)
+        assert rep.semi_super == is_semi_super(u)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import smx
+import strategies as sts
 from smx.cli import run
 
 
@@ -188,6 +189,17 @@ class TestCheckAndClassify:
         assert "proper: false" in out
         assert err == ""
 
+    @given(sts.unions_with_repeats())
+    @settings(max_examples=50)
+    def test_check_gates_on_improper_pair(self, tmp_path_factory, u):
+        f = write_smx(tmp_path_factory.mktemp("check"), "u.smx", u)
+        code, _, err = invoke(["check", f])
+        pair = smx.improper_pair(u)
+        if pair is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (3, f"improper union: identical components {pair[0]} and {pair[1]}\n")
+
     def test_check_json(self, tmp_path):
         f = write_smx(tmp_path, "u.smx", fx.SEMI_UNION)
         code, out, _ = invoke(["check", f, "--json"])
@@ -249,6 +261,16 @@ class TestFailures:
         f = tmp_path / "bom.smx"
         f.write_bytes("\ufeff[ 1 2 ]\n".encode())
         assert invoke(["transpose", str(f)]) == (0, "[ 1\n  2 ]\n", "")
+
+    def test_lone_cr_is_an_error(self, tmp_path):
+        f = tmp_path / "cr.smx"
+        f.write_bytes(b"[ 1\r2 ]\n")
+        assert invoke(["transpose", str(f)]) == (1, "", f"{f}: line 1, column 4: unexpected character '\\r'\n")
+
+    def test_crlf_accepted(self, tmp_path):
+        f = tmp_path / "crlf.smx"
+        f.write_bytes(b"[ 1 2\r\n  3 4 ]\r\nU\r\n[ 5 ]\r\n")
+        assert invoke(["transpose", str(f)]) == (0, "[ 1 3\n  2 4 ]\nU\n[ 5 ]\n", "")
 
     def test_parse_error_carries_position(self, tmp_path):
         f = write_smx(tmp_path, "bad.smx", "[ 1 2\n3 ]")

@@ -91,7 +91,7 @@ class TestDenseMatrix:
         with pytest.raises(TypeError):
             DenseMatrix.from_rows([[0.5]])
 
-    @pytest.mark.parametrize("text", ["0.1", "1e3", "1_000", "+3", "\u0663"])
+    @pytest.mark.parametrize("text", ["0.1", "1e3", "1_000", "+3", "\u0663", "\xa07"])
     def test_strings_outside_the_scalar_grammar_rejected(self, text):
         with pytest.raises(ValueError):
             make_super([[text]])

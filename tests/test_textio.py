@@ -77,6 +77,12 @@ PARSE_ERRORS = [
     ("[\t1\t@ ]", ParseError, 1, 5, "unexpected character '@'"),
     ("[ 1\v2 ]", ParseError, 1, 4, "unexpected character '\\x0b'"),
     ("[ 1\xa02 ]", ParseError, 1, 4, "unexpected character '\\xa0'"),
+    ("[ 1\r2 ]", ParseError, 1, 4, "unexpected character '\\r'"),
+    ("\xa0[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
+    ("\x0c\n[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
+    ("[1]\nU\xa0\n[2]", ParseError, 2, 1, "expected '[' to open a component"),
+    ("[ 1\n\x0c\n2 ]", ParseError, 2, 1, "unexpected character '\\x0c'"),
+    ("[ 1 ]\x0c", ParseError, 1, 6, "unexpected text after ']'"),
     ("[ \u0663 ]", ParseError, 1, 3, "unexpected character '\u0663'"),
     ("[ 1+2 ]", ParseError, 1, 3, "invalid rational '1+2'"),
     ("[ 1/0 ]", ParseError, 1, 3, "zero denominator in '1/0'"),
