@@ -71,6 +71,9 @@ def _emit(text, path, out):
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".smx-")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
+        umask = os.umask(0)  # mkstemp makes the file 0600; give it the mode '>' would
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as e:
         if tmp is not None:
@@ -177,3 +180,7 @@ def run(argv=None, stdout=None, stderr=None):
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

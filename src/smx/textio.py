@@ -2,8 +2,9 @@
 
 A component sits between brackets. Entries are integers or fractions
 ('-3', '7/2'; the grammar is core.parse_scalar's), rows end at a newline or
-';', a '|' marks a column cut, and a whole line of dashes (optionally with
-'+') marks a row cut. A line holding only 'U' separates components:
+';', a '|' marks a column cut, and a line of two or more dashes, optionally
+with '+', and nothing else marks a row cut. A line holding only 'U' or '∪'
+separates components; text after it is an error at that text's column:
 
     [ 3 0 | 1
       2 1 | 1
@@ -26,7 +27,7 @@ from .core import SuperMatrix, _BLANKS, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
-_RULE = re.compile(r"[-+]+\Z")
+_RULE = re.compile(r"\+*-\+*-[-+]*")  # a row cut: '-' and '+' only, at least two dashes
 _SEPARATORS = ("U", "∪")
 # A run of scalar characters, or any other single character; blanks between
 # tokens are skipped. '+' stays in the run so that '1+2' is reported whole,
@@ -34,116 +35,87 @@ _SEPARATORS = ("U", "∪")
 _TOKEN = re.compile(rf"(?P<scalar>[-+/0-9]+)|[^{_BLANKS}]")
 
 
-def _is_rule(stripped):
-    return bool(_RULE.match(stripped)) and stripped.count("-") >= 2
+class _Component:
+    """An open bracketed component, read one line of tokens at a time."""
 
+    def __init__(self, line_no, col):
+        self.opened = (line_no, col)
+        self.rows, self.row_cuts, self.col_cuts = [], [], None
+        self.row, self.cuts = [], []  # the row being read and its column cuts
 
-class _ComponentReader:
-    """Accumulates one bracketed component row by row."""
-
-    def __init__(self, open_line, open_col):
-        self.open_line = open_line
-        self.open_col = open_col
-        self.rows = []
-        self.row_cuts = []
-        self.width = None
-        self.col_cuts = None
-        self.pending = []
-        self.pending_cuts = []
-
-    def add_scalar(self, value):
-        self.pending.append(value)
-
-    def add_col_cut(self, line, col):
-        if not self.pending:
-            raise ParseError("column cut before the first entry of a row", line, col)
-        if self.pending_cuts and self.pending_cuts[-1] == len(self.pending):
-            raise ParseError("duplicate column cut", line, col)
-        self.pending_cuts.append(len(self.pending))
-
-    def end_row(self, line, col, explicit):
-        if not self.pending:
-            if explicit:
-                raise ParseError("empty row", line, col)
+    def end_row(self, line_no, col):
+        row, cuts = self.row, self.cuts
+        if not row:
             return
-        if self.pending_cuts and self.pending_cuts[-1] == len(self.pending):
-            raise ParseError("column cut after the last entry of a row", line, col)
+        if cuts and cuts[-1] == len(row):
+            raise ParseError("column cut after the last entry of a row", line_no, col)
         n = len(self.rows) + 1
-        if self.width is None:
-            self.width = len(self.pending)
-            self.col_cuts = tuple(self.pending_cuts)
-        else:
-            if len(self.pending) != self.width:
-                raise RaggedRows(
-                    f"row {n} has {len(self.pending)} entries, previous rows have {self.width}",
-                    line,
-                    col,
-                )
-            if tuple(self.pending_cuts) != self.col_cuts:
-                raise InconsistentCuts(
-                    f"row {n} cuts at {self.pending_cuts}, previous rows at {list(self.col_cuts)}",
-                    line,
-                    col,
-                )
-        self.rows.append(self.pending)
-        self.pending = []
-        self.pending_cuts = []
+        if n == 1:
+            self.col_cuts = cuts
+        elif len(row) != len(self.rows[0]):
+            message = f"row {n} has {len(row)} entries, previous rows have {len(self.rows[0])}"
+            raise RaggedRows(message, line_no, col)
+        elif cuts != self.col_cuts:
+            message = f"row {n} cuts at {cuts}, previous rows at {self.col_cuts}"
+            raise InconsistentCuts(message, line_no, col)
+        self.rows.append(row)
+        self.row, self.cuts = [], []
 
-    def add_row_cut(self, line, col):
+    def add_row_cut(self, line_no, col):
         if not self.rows:
-            raise ParseError("row cut before the first row", line, col)
+            raise ParseError("row cut before the first row", line_no, col)
         if self.row_cuts and self.row_cuts[-1] == len(self.rows):
-            raise ParseError("duplicate row cut", line, col)
+            raise ParseError("duplicate row cut", line_no, col)
         self.row_cuts.append(len(self.rows))
 
-    def close(self, line, col):
-        if not self.rows:
-            raise ParseError("component has no rows", line, col)
-        if self.row_cuts and self.row_cuts[-1] == len(self.rows):
-            raise ParseError("row cut after the last row", line, col)
-        return make_super(self.rows, self.row_cuts, self.col_cuts)
-
-
-def _scan_line(line, start, line_no, reader):
-    """Scan component content from 0-based index start. SuperMatrix if ']' closes it."""
-    for m in _TOKEN.finditer(line, start):
-        token, col = m.group(), m.start() + 1
-        if m.lastgroup:
-            try:
-                reader.add_scalar(parse_scalar(token))
-            except ValueError as e:
-                raise ParseError(str(e), line_no, col) from None
-        elif token == "|":
-            reader.add_col_cut(line_no, col)
-        elif token == ";":
-            reader.end_row(line_no, col, explicit=True)
-        elif token == "]":
-            reader.end_row(line_no, col, explicit=False)
-            result = reader.close(line_no, col)
-            rest = _TOKEN.search(line, m.end())
-            if rest:
-                raise ParseError("unexpected text after ']'", line_no, rest.start() + 1)
-            return result
-        elif token == "[":
-            raise ParseError("unexpected '[' inside a component", line_no, col)
-        else:
-            raise ParseError(f"unexpected character {token!r}", line_no, col)
-    reader.end_row(line_no, len(line) + 1, explicit=False)
-    return None
+    def read(self, line, tokens, line_no):
+        """Read one line's tokens. The SuperMatrix once ']' closes the component, else None."""
+        rest = iter(tokens)
+        for m in rest:
+            token, col = m.group(), m.start() + 1
+            if m.lastgroup:
+                try:
+                    self.row.append(parse_scalar(token))
+                except ValueError as e:
+                    raise ParseError(str(e), line_no, col) from None
+            elif token == "|":
+                if not self.row:
+                    raise ParseError("column cut before the first entry of a row", line_no, col)
+                if self.cuts and self.cuts[-1] == len(self.row):
+                    raise ParseError("duplicate column cut", line_no, col)
+                self.cuts.append(len(self.row))
+            elif token == ";":
+                if not self.row:
+                    raise ParseError("empty row", line_no, col)
+                self.end_row(line_no, col)
+            elif token == "]":
+                self.end_row(line_no, col)
+                if not self.rows:
+                    raise ParseError("component has no rows", line_no, col)
+                if self.row_cuts and self.row_cuts[-1] == len(self.rows):
+                    raise ParseError("row cut after the last row", line_no, col)
+                after = next(rest, None)
+                if after is not None:
+                    raise ParseError("unexpected text after ']'", line_no, after.start() + 1)
+                return make_super(self.rows, self.row_cuts, self.col_cuts)
+            elif token == "[":
+                raise ParseError("unexpected '[' inside a component", line_no, col)
+            else:
+                raise ParseError(f"unexpected character {token!r}", line_no, col)
+        self.end_row(line_no, len(line) + 1)
+        return None
 
 
 def parse(text):
     """Parse .smx text into a SuperNMatrix."""
-    components = []
-    reader = None
-    pending_sep = None
+    components, reader, pending_sep = [], None, None
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        stripped = line.strip(_BLANKS)
-        if not stripped:
+        tokens = list(_TOKEN.finditer(line))
+        if not tokens:
             continue
-        col = len(line) - len(line.lstrip(_BLANKS)) + 1
-        if stripped in _SEPARATORS:
+        first, col = tokens[0].group(), tokens[0].start() + 1
+        if len(tokens) == 1 and first in _SEPARATORS:
             if reader is not None:
                 raise ParseError("union separator inside a component", line_no, col)
             if not components:
@@ -152,24 +124,25 @@ def parse(text):
                 raise ParseError("consecutive union separators", line_no, col)
             pending_sep = (line_no, col)
             continue
-        if reader is not None:
-            if _is_rule(stripped):
-                reader.add_row_cut(line_no, col)
-                continue
-            result = _scan_line(line, 0, line_no, reader)
-        else:
-            if stripped[0] != "[":
+        if reader is None:
+            if first in _SEPARATORS:
+                raise ParseError(f"unexpected text after {first!r}", line_no, tokens[1].start() + 1)
+            if first != "[":
                 raise ParseError("expected '[' to open a component", line_no, col)
             if components and not pending_sep:
                 raise ParseError("expected 'U' between components", line_no, col)
             pending_sep = None
-            reader = _ComponentReader(line_no, col)
-            result = _scan_line(line, col, line_no, reader)
+            reader = _Component(line_no, col)
+            del tokens[0]
+        elif len(tokens) == 1 and _RULE.fullmatch(first):
+            reader.add_row_cut(line_no, col)
+            continue
+        result = reader.read(line, tokens, line_no)
         if result is not None:
             components.append(result)
             reader = None
     if reader is not None:
-        raise ParseError("component is never closed", reader.open_line, reader.open_col)
+        raise ParseError("component is never closed", *reader.opened)
     if pending_sep:
         raise ParseError("union separator with no component after it", *pending_sep)
     if not components:

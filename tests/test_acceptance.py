@@ -4,6 +4,7 @@ Every comparison is exact; there is no tolerance anywhere.
 """
 
 import io
+from pathlib import Path
 
 from hypothesis import example, given, settings
 
@@ -136,6 +137,12 @@ def test_mixed_union_grams_left_and_right():
     assert all(is_symmetric_super(c) for c in left.components)
     assert all(is_symmetric_super(c) for c in right.components)
     assert not union_value_eq(left, right)
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_cli_end_to_end_report_and_arithmetic(tmp_path):

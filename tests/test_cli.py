@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +93,23 @@ class TestArithmeticCommands:
         assert code == 0
         assert out == ""
         assert target.read_text() == smx.format(fx.TALL_7X5_T)
+
+    def test_output_file_mode_follows_umask(self, tmp_path):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        target = tmp_path / "out.smx"
+        old = os.umask(0o022)
+        try:
+            assert invoke(["transpose", f, "-o", str(target)]) == (0, "", "")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+    def test_runs_as_a_module(self, tmp_path):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        argv = [sys.executable, "-m", "smx.cli", "transpose", f]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (0, smx.format(fx.TALL_7X5_T), "")
 
     @pytest.mark.parametrize(
         "args",

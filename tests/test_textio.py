@@ -50,8 +50,9 @@ class TestParse:
         u = parse("[ -3 7/2 ]")
         assert flatten(u.components[0]).to_rows() == [[-3, Fraction(7, 2)]]
 
-    def test_single_row_cut(self):
-        u = parse("[ 5\n--\n7 ]")
+    @pytest.mark.parametrize("rule", ["--", "+-+-", "\t--+"])
+    def test_single_row_cut(self, rule):
+        u = parse(f"[ 5\n{rule}\n7 ]")
         assert u.components[0].row_cuts == (1,)
 
 
@@ -80,7 +81,13 @@ PARSE_ERRORS = [
     ("[ 1\r2 ]", ParseError, 1, 4, "unexpected character '\\r'"),
     ("\xa0[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
     ("\x0c\n[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
-    ("[1]\nU\xa0\n[2]", ParseError, 2, 1, "expected '[' to open a component"),
+    ("[1]\nU\xa0\n[2]", ParseError, 2, 2, "unexpected text after 'U'"),
+    ("[1]\nU x\n[2]", ParseError, 2, 3, "unexpected text after 'U'"),
+    ("[1]\n∪\t]\n[2]", ParseError, 2, 3, "unexpected text after '∪'"),
+    ("U [1]", ParseError, 1, 3, "unexpected text after 'U'"),
+    ("[ 1\nU x\n2 ]", ParseError, 2, 1, "unexpected character 'U'"),
+    ("[ 1\n-\n2 ]", ParseError, 2, 1, "invalid rational '-'"),
+    ("[ 1\n-- 3\n2 ]", ParseError, 2, 1, "invalid rational '--'"),
     ("[ 1\n\x0c\n2 ]", ParseError, 2, 1, "unexpected character '\\x0c'"),
     ("[ 1 ]\x0c", ParseError, 1, 6, "unexpected text after ']'"),
     ("[ \u0663 ]", ParseError, 1, 3, "unexpected character '\u0663'"),
