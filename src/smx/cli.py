@@ -65,16 +65,16 @@ def _emit(text, path, out):
     if path is None:
         out.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)  # write through a symlink, as '>' does
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".smx-")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".smx-")
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             f.write(text)
         umask = os.umask(0)  # mkstemp makes the file 0600; give it the mode '>' would
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as e:
         if tmp is not None:
             try:

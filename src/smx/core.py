@@ -18,7 +18,7 @@ and written without touching Python's process-wide int/str digit limit.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
 
 from .errors import (
     BlockIndexOutOfRange,
@@ -149,7 +149,9 @@ class DenseMatrix:
             raise DimensionMismatch(
                 f"matrix dimensions must be positive integers, got {self.rows!r}x{self.cols!r}"
             )
-        entries = tuple(as_rational(x) for x in self.entries)
+        entries = tuple(self.entries)
+        if not {*map(type, entries)} <= {Fraction}:  # exact Fractions pass as they are
+            entries = tuple(map(as_rational, entries))
         if len(entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(entries)}"
@@ -165,7 +167,7 @@ class DenseMatrix:
         for i, r in enumerate(rows):
             if len(r) != width:
                 raise DimensionMismatch(f"row {i + 1} has {len(r)} entries, row 1 has {width}")
-        flat = tuple(x for r in rows for x in r)
+        flat = tuple(chain.from_iterable(rows))
         return cls(len(rows), width, flat)
 
     def at(self, i, j):

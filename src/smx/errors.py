@@ -3,7 +3,8 @@
 Everything raised on purpose derives from SmxError, so callers can catch
 one type at the boundary. Partition construction problems, shape/partition
 incompatibilities between operands, and text parsing problems form the
-three branches.
+three branches. InvalidArgument, an argument of a type the operation cannot
+take, is also a TypeError so that existing ``except TypeError`` code catches it.
 """
 
 
@@ -34,6 +35,10 @@ class UnsortedCuts(PartitionError):
     def __init__(self, cuts):
         super().__init__(f"cuts {list(cuts)} are not strictly increasing")
         self.cuts = tuple(cuts)
+
+
+class InvalidArgument(SmxError, TypeError):
+    """An argument has a type the operation cannot take."""
 
 
 class DimensionMismatch(SmxError):

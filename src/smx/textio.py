@@ -13,6 +13,13 @@ separates components; text after it is an error at that text's column:
     U
     [ 7/2 -1 ]
 
+A row line that holds only scalars, blanks, '|' and an opening '[' or closing
+']' is read whole, with one regular expression and one Fraction per distinct
+token text in the input. Any other line, and a row line with an invalid
+scalar, is read token by token; the component reader that both paths share
+reports every error, so its type, line, column and message do not depend on
+the path.
+
 Parsing accepts LF or CRLF line ends, any run of spaces and tabs between
 tokens (no other blank) and fractions not in lowest terms ('2/4' reads as
 1/2). Formatting is canonical: lowest terms, cells right-aligned per
@@ -23,7 +30,7 @@ parse(format(u)) reproduces u exactly and format is idempotent.
 
 import re
 
-from .core import SuperMatrix, _BLANKS, format_scalar, make_super, parse_scalar
+from .core import SuperMatrix, _BLANKS, _SCALAR, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
@@ -33,6 +40,37 @@ _SEPARATORS = ("U", "∪")
 # tokens are skipped. '+' stays in the run so that '1+2' is reported whole,
 # as an invalid rational.
 _TOKEN = re.compile(rf"(?P<scalar>[-+/0-9]+)|[^{_BLANKS}]")
+# A whole row line: scalars separated by blanks or '|', an optional '[' before
+# them and ']' after. A scalar never runs into another scalar character, so
+# the line splits into exactly the scalars _TOKEN would find.
+_B = f"[{_BLANKS}]"
+_NUMBER = rf"(?:{_SCALAR.pattern})(?![-+/0-9])"
+_ROW_LINE = re.compile(
+    rf"{_B}*(?:(?P<open>\[){_B}*)?"
+    rf"(?P<body>{_NUMBER}(?:(?:{_B}*\|{_B}*|{_B}+){_NUMBER})*)"
+    rf"(?:{_B}*(?P<close>\]))?{_B}*"
+)
+
+
+class _Scalars(dict):
+    """Token -> Fraction for one parse; each distinct token is converted once."""
+
+    def __missing__(self, token):
+        self[token] = value = parse_scalar(token)
+        return value
+
+
+def _row(body, scalars):
+    """(entries, column cuts) of a _ROW_LINE body; None if a scalar is invalid."""
+    row, cuts = [], []
+    try:
+        for segment in body.split("|"):
+            if row:
+                cuts.append(len(row))
+            row += map(scalars.__getitem__, segment.split())
+    except ValueError:
+        return None
+    return row, cuts
 
 
 class _Component:
@@ -68,6 +106,15 @@ class _Component:
             raise ParseError("duplicate row cut", line_no, col)
         self.row_cuts.append(len(self.rows))
 
+    def close(self, line_no, col):
+        """End the last row at the ']' in column col; the finished SuperMatrix."""
+        self.end_row(line_no, col)
+        if not self.rows:
+            raise ParseError("component has no rows", line_no, col)
+        if self.row_cuts and self.row_cuts[-1] == len(self.rows):
+            raise ParseError("row cut after the last row", line_no, col)
+        return make_super(self.rows, self.row_cuts, self.col_cuts)
+
     def read(self, line, tokens, line_no):
         """Read one line's tokens. The SuperMatrix once ']' closes the component, else None."""
         rest = iter(tokens)
@@ -89,15 +136,11 @@ class _Component:
                     raise ParseError("empty row", line_no, col)
                 self.end_row(line_no, col)
             elif token == "]":
-                self.end_row(line_no, col)
-                if not self.rows:
-                    raise ParseError("component has no rows", line_no, col)
-                if self.row_cuts and self.row_cuts[-1] == len(self.rows):
-                    raise ParseError("row cut after the last row", line_no, col)
+                result = self.close(line_no, col)
                 after = next(rest, None)
                 if after is not None:
                     raise ParseError("unexpected text after ']'", line_no, after.start() + 1)
-                return make_super(self.rows, self.row_cuts, self.col_cuts)
+                return result
             elif token == "[":
                 raise ParseError("unexpected '[' inside a component", line_no, col)
             else:
@@ -108,9 +151,25 @@ class _Component:
 
 def parse(text):
     """Parse .smx text into a SuperNMatrix."""
-    components, reader, pending_sep = [], None, None
+    components, reader, pending_sep, scalars = [], None, None, _Scalars()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
+        m = _ROW_LINE.fullmatch(line)
+        # Inside a component a row line must not open one; outside it must, where
+        # a component may begin. Other lines, and lines with an invalid scalar
+        # such as '1/0', take the token path, which reports every error.
+        if m and (not m["open"] if reader else m["open"] and (pending_sep or not components)):
+            entries = _row(m["body"], scalars)
+            if entries is not None:
+                if reader is None:
+                    reader, pending_sep = _Component(line_no, m.start("open") + 1), None
+                reader.row, reader.cuts = entries
+                if m["close"]:
+                    components.append(reader.close(line_no, m.start("close") + 1))
+                    reader = None
+                else:
+                    reader.end_row(line_no, len(line) + 1)
+                continue
         tokens = list(_TOKEN.finditer(line))
         if not tokens:
             continue

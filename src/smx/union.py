@@ -9,8 +9,8 @@ of a union are decided in classify.
 from dataclasses import dataclass
 
 from . import algebra
-from .core import make_super
-from .errors import ArityMismatch, DimensionMismatch, EmptyUnion, PartitionMismatch
+from .core import SuperMatrix, make_super
+from .errors import ArityMismatch, DimensionMismatch, EmptyUnion, InvalidArgument, PartitionMismatch
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,9 @@ class SuperNMatrix:
         comps = tuple(self.components)
         if not comps:
             raise EmptyUnion("union needs at least one component")
+        for k, c in enumerate(comps, start=1):
+            if not isinstance(c, SuperMatrix):
+                raise InvalidArgument(f"component {k} is a {type(c).__name__}, not a SuperMatrix")
         object.__setattr__(self, "components", comps)
 
     @property

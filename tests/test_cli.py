@@ -104,6 +104,16 @@ class TestArithmeticCommands:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
+    def test_output_writes_through_a_symlink(self, tmp_path):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        real = tmp_path / "real.smx"
+        real.write_text("old\n")
+        link = tmp_path / "link.smx"
+        link.symlink_to(real)
+        assert invoke(["transpose", f, "-o", str(link)]) == (0, "", "")
+        assert link.is_symlink()
+        assert real.read_text() == smx.format(fx.TALL_7X5_T)
+
     def test_runs_as_a_module(self, tmp_path):
         f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}

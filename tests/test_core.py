@@ -96,6 +96,16 @@ class TestDenseMatrix:
         with pytest.raises(ValueError):
             make_super([[text]])
 
+    def test_mixed_entries_coerced_and_floats_still_refused(self):
+        class Half(Fraction):
+            pass
+
+        m = DenseMatrix(1, 4, (Fraction(1, 3), 2, "5/4", Half(1, 2)))
+        assert m.entries == (Fraction(1, 3), 2, Fraction(5, 4), Fraction(1, 2))
+        assert {type(x) for x in m.entries} == {Fraction}
+        with pytest.raises(TypeError):
+            DenseMatrix(1, 2, (Fraction(1), 0.5))
+
     def test_string_entries_coerced(self):
         m = DenseMatrix.from_rows([["7/2", "-3"]])
         assert m.at(0, 0) == Fraction(7, 2)

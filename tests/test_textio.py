@@ -46,6 +46,22 @@ class TestParse:
         u = parse("[\t1\t|\t2 ]")
         assert u.components[0].col_cuts == (1,)
 
+    def test_cut_without_blanks(self):
+        u = parse("[ 1|2 ]")
+        assert flatten(u.components[0]).to_rows() == [[1, 2]]
+        assert u.components[0].col_cuts == (1,)
+
+    def test_long_token_on_a_row_line(self):
+        u = parse("[ 1 | " + "9" * 5000 + "\n  2 | -" + "9" * 5000 + "/2 ]")
+        assert flatten(u.components[0]).to_rows() == [[1, 10**5000 - 1], [2, Fraction(1 - 10**5000, 2)]]
+
+    def test_long_token_errors_on_a_row_line(self):
+        for tail, message in (("-1", "invalid rational"), ("/0", "zero denominator in")):
+            with pytest.raises(ParseError) as exc:
+                parse("[ 1 " + "9" * 5000 + tail + " ]")
+            assert (exc.value.line, exc.value.column) == (1, 5)
+            assert exc.value.message.startswith(f"{message} '999")
+
     def test_negative_and_fraction_scalars(self):
         u = parse("[ -3 7/2 ]")
         assert flatten(u.components[0]).to_rows() == [[-3, Fraction(7, 2)]]
@@ -66,6 +82,8 @@ PARSE_ERRORS = [
     ("[ 1 || 2 ]", ParseError, 1, 6, "duplicate column cut"),
     ("[ | 1 ]", ParseError, 1, 3, "column cut before the first entry of a row"),
     ("[ 1 | ]", ParseError, 1, 7, "column cut after the last entry of a row"),
+    ("[ 1 2 | ]", ParseError, 1, 9, "column cut after the last entry of a row"),
+    ("[ 1 | | 2 ]", ParseError, 1, 7, "duplicate column cut"),
     ("[ 1 ; ; 2 ]", ParseError, 1, 7, "empty row"),
     ("[\n--\n1 ]", ParseError, 2, 1, "row cut before the first row"),
     ("[ 1\n--\n--\n2 ]", ParseError, 3, 1, "duplicate row cut"),
@@ -73,6 +91,7 @@ PARSE_ERRORS = [
     ("[ ]", ParseError, 1, 3, "component has no rows"),
     ("[ 1 ] x", ParseError, 1, 7, "unexpected text after ']'"),
     ("[ 1 ]\tx", ParseError, 1, 7, "unexpected text after ']'"),
+    ("[ 1 2 ] 3", ParseError, 1, 9, "unexpected text after ']'"),
     ("[ [ ]", ParseError, 1, 3, "unexpected '[' inside a component"),
     ("[ 1 @ ]", ParseError, 1, 5, "unexpected character '@'"),
     ("[\t1\t@ ]", ParseError, 1, 5, "unexpected character '@'"),
@@ -93,6 +112,8 @@ PARSE_ERRORS = [
     ("[ \u0663 ]", ParseError, 1, 3, "unexpected character '\u0663'"),
     ("[ 1+2 ]", ParseError, 1, 3, "invalid rational '1+2'"),
     ("[ 1/0 ]", ParseError, 1, 3, "zero denominator in '1/0'"),
+    ("[ 1/0 2 ]", ParseError, 1, 3, "zero denominator in '1/0'"),
+    ("[ 1 -2-3 ]", ParseError, 1, 5, "invalid rational '-2-3'"),
     ("[ 1", ParseError, 1, 1, "component is never closed"),
     ("[1]\nU", ParseError, 2, 1, "union separator with no component after it"),
     ("U\n[1]", ParseError, 1, 1, "union separator before the first component"),
@@ -177,6 +198,22 @@ class TestFormat:
     def test_fixture_round_trip(self):
         u = fx.MIXED_GRAM_IN
         assert union_strict_eq(parse(format(u)), u)
+
+    @given(sts.unions())
+    def test_whole_line_and_token_paths_agree(self, u):
+        # ' ;' ends a row in the token grammar but never matches a whole row
+        # line, so the second text reads every row through the token path.
+        text = format(u)
+        lines = []
+        for line in text.split("\n"):
+            if line.strip(" -+") in ("", "U"):  # rule, separator or the final empty line
+                lines.append(line)
+            elif line.endswith(" ]"):
+                lines.append(line[:-2] + " ; ]")
+            else:
+                lines.append(line + " ;")
+        assert union_strict_eq(parse(text), u)
+        assert union_strict_eq(parse("\n".join(lines)), u)
 
     @given(sts.unions())
     def test_round_trip_and_idempotent(self, u):

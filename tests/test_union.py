@@ -21,7 +21,7 @@ from smx import (
     union_transpose,
     union_value_eq,
 )
-from smx.errors import ArityMismatch, EmptyUnion, PartitionMismatch
+from smx.errors import ArityMismatch, EmptyUnion, InvalidArgument, PartitionMismatch
 from smx.union import SuperNMatrix
 
 
@@ -29,6 +29,13 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(EmptyUnion):
             make_union([])
+
+    @pytest.mark.parametrize("junk", ["x", None, make_super([[1]]).data, [[1, 2]]])
+    def test_non_supermatrix_component_rejected(self, junk):
+        with pytest.raises(InvalidArgument, match="component 2 is a"):
+            make_union([make_super([[1]]), junk])
+        with pytest.raises(TypeError):  # InvalidArgument is also a TypeError
+            make_union([junk])
 
     def test_arity(self):
         assert fx.UNION_ADD_A.arity == 2
