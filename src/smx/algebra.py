@@ -7,6 +7,10 @@ multiply and A's column partition equals B's row partition; the entries are
 the ordinary dense product, the result carries A's row partition and B's
 column partition, and the shared inner partition is reported in a witness
 rather than in the result.
+
+The gram products a*a^T and a^T*a are symmetric by construction, so gram puts
+each row (or column) of a over its lcm once, computes only the entries on and
+above the diagonal, and mirrors them; it never builds the transpose.
 """
 
 import math
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import DenseMatrix, Partition, SuperMatrix, _submatrix, as_rational
-from .errors import DimensionMismatch, PartitionMismatch
+from .errors import DimensionMismatch, InvalidValue, PartitionMismatch
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,24 @@ def super_mul(a, b):
 
 
 def gram(a, side="right"):
-    """a * a^T (side="right") or a^T * a (side="left"). Always defined."""
+    """a * a^T (side="right") or a^T * a (side="left"). Always defined.
+
+    Entry (i, j) is the dot product of rows (right) or columns (left) i and j
+    of a, so only i <= j is computed and each entry is mirrored. The result
+    carries a's row (right) or column (left) partition on both axes.
+    """
+    x, k = a.data.entries, a.cols
     if side == "right":
-        product, _ = super_mul(a, transpose(a))
+        lines, partition = [x[i * k : (i + 1) * k] for i in range(a.rows)], a.row_partition
     elif side == "left":
-        product, _ = super_mul(transpose(a), a)
+        lines, partition = [x[j::k] for j in range(k)], a.col_partition
     else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return product
+        raise InvalidValue(f"side must be 'left' or 'right', got {side!r}")
+    scaled = [_over_lcm(line) for line in lines]
+    n = len(scaled)
+    out = [None] * (n * n)
+    for i, (r, p) in enumerate(scaled):
+        for j in range(i, n):
+            c, q = scaled[j]
+            out[i * n + j] = out[j * n + i] = Fraction(sum(map(operator.mul, r, c)), p * q)
+    return SuperMatrix(DenseMatrix(n, n, out), partition, partition)

@@ -5,11 +5,16 @@ or produce a new .smx file (add, sub, mul, scale, transpose, flatten, gram).
 Results go to stdout unless -o names a file; output files are written via a
 temp file and os.replace so a failure never leaves a partial file.
 
+The argument parser is built on the first call of run and reused by every
+later call in the same process: parsing never changes it, each call gets a
+fresh namespace, and help text takes its width at the time it is printed.
+
 Exit codes: 0 success, 1 unreadable or unparsable input (and usage errors),
 2 incompatible operands, 3 check found an improper union.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -128,6 +133,7 @@ def _cmd_eq(ns, out, err):
     return OK
 
 
+@functools.cache
 def _build_parser():
     parser = _ArgumentParser(prog="smx", description="exact block-partitioned matrix tool")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")

@@ -25,6 +25,8 @@ from .errors import (
     CutOutOfRange,
     DimensionMismatch,
     DuplicateCut,
+    InvalidArgument,
+    InvalidValue,
     UnsortedCuts,
 )
 
@@ -58,7 +60,9 @@ def _str(n):
 
 
 def parse_scalar(text):
-    """One rational like '-3' or '7/2'. Raises ValueError on anything else."""
+    """One rational like '-3' or '7/2'. Raises ValueError on any other str."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"expected a str, got {type(text).__name__}")
     m = _SCALAR.fullmatch(text.strip(_BLANKS))
     if m is None:
         raise ValueError(f"invalid rational {text!r}")
@@ -81,13 +85,15 @@ def format_scalar(x):
 
 
 def as_rational(x):
-    """Coerce int / Fraction / scalar string to Fraction. Floats are rejected."""
+    """Coerce int / Fraction / scalar string to Fraction. Floats and bools are rejected."""
     if type(x) is Fraction:
         return x
     if isinstance(x, str):
         return parse_scalar(x)
     if isinstance(x, float):
         raise TypeError(f"refusing float {x!r}; use Fraction or a string like '7/2'")
+    if isinstance(x, bool):  # an int subclass, but never an entry
+        raise InvalidArgument(f"refusing bool {x!r}; use an int, a Fraction or a string like '7/2'")
     return Fraction(x)
 
 
@@ -275,5 +281,5 @@ def strips(s, axis):
     elif axis == "column":
         pieces = [(range(s.rows), range(c0, c1), s.row_cuts, ()) for c0, c1 in s.col_partition.blocks()]
     else:
-        raise ValueError(f"axis must be 'row' or 'column', got {axis!r}")
+        raise InvalidValue(f"axis must be 'row' or 'column', got {axis!r}")
     return [make_super(_submatrix(s.data.entries, r, c, s.cols), rc, cc) for r, c, rc, cc in pieces]

@@ -4,7 +4,9 @@ Everything raised on purpose derives from SmxError, so callers can catch
 one type at the boundary. Partition construction problems, shape/partition
 incompatibilities between operands, and text parsing problems form the
 three branches. InvalidArgument, an argument of a type the operation cannot
-take, is also a TypeError so that existing ``except TypeError`` code catches it.
+take, is also a TypeError, and InvalidValue, an argument of the right type but
+outside the values the operation accepts, is also a ValueError, so that
+existing ``except TypeError`` and ``except ValueError`` code catches them.
 """
 
 
@@ -39,6 +41,10 @@ class UnsortedCuts(PartitionError):
 
 class InvalidArgument(SmxError, TypeError):
     """An argument has a type the operation cannot take."""
+
+
+class InvalidValue(SmxError, ValueError):
+    """An argument has the right type but a value the operation does not accept."""
 
 
 class DimensionMismatch(SmxError):

@@ -31,7 +31,7 @@ parse(format(u)) reproduces u exactly and format is idempotent.
 import re
 
 from .core import SuperMatrix, _BLANKS, _SCALAR, format_scalar, make_super, parse_scalar
-from .errors import EmptyInput, InconsistentCuts, ParseError, RaggedRows
+from .errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
 _RULE = re.compile(r"\+*-\+*-[-+]*")  # a row cut: '-' and '+' only, at least two dashes
@@ -151,6 +151,8 @@ class _Component:
 
 def parse(text):
     """Parse .smx text into a SuperNMatrix."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"expected a str, got {type(text).__name__}")
     components, reader, pending_sep, scalars = [], None, None, _Scalars()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw

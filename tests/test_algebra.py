@@ -19,7 +19,7 @@ from smx import (
     transpose,
     value_eq,
 )
-from smx.errors import DimensionMismatch, PartitionMismatch
+from smx.errors import DimensionMismatch, InvalidValue, PartitionMismatch, SmxError
 
 
 def rows_of(s):
@@ -207,6 +207,29 @@ class TestGram:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             gram(fx.GRAM_RIGHT_IN, "up")
+
+    def test_bad_side_is_typed(self):
+        with pytest.raises(InvalidValue, match="side must be 'left' or 'right', got 'up'") as exc:
+            gram(fx.GRAM_RIGHT_IN, "up")
+        assert isinstance(exc.value, SmxError)
+
+    @given(sts.supermatrices())
+    def test_equals_the_product_with_the_transpose(self, s):
+        assert strict_eq(gram(s, "right"), super_mul(s, transpose(s))[0])
+        assert strict_eq(gram(s, "left"), super_mul(transpose(s), s)[0])
+
+    def test_long_entries_match_the_product_with_the_transpose(self):
+        big = 10**300
+        for rows, cols, row_cuts, col_cuts in ((1, 7, (), (2, 5)), (7, 1, (1, 4), ()), (5, 4, (2,), (1, 3))):
+            # every row has its own denominator, so each row's lcm differs
+            entries = [
+                [Fraction((-1) ** (i + j) * (big + 7 * i + j), big // 10 ** (37 * i + 1) + 3) for j in range(cols)]
+                for i in range(rows)
+            ]
+            s = make_super(entries, row_cuts, col_cuts)
+            assert strict_eq(gram(s, "right"), super_mul(s, transpose(s))[0])
+            assert strict_eq(gram(s, "left"), super_mul(transpose(s), s)[0])
+            assert max(x.numerator.bit_length() for x in gram(s, "right").data.entries) > 1900
 
     @given(sts.supermatrices(max_rows=6, max_cols=6))
     def test_square_symmetric_matched_partitions(self, s):

@@ -186,6 +186,47 @@ class TestArithmeticCommands:
         assert not target.exists()
 
 
+class TestSharedParser:
+    """run() builds its parser once per process; calls made in a row through it
+    must each behave exactly as the same call run alone in a fresh process."""
+
+    @staticmethod
+    def alone(args):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "COLUMNS": "80"}
+        done = subprocess.run([sys.executable, "-m", "smx.cli", *args], capture_output=True, env=env, check=False)
+        return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            (["gram", "m.smx", "--side", "left", "-o", "out.smx"], ["gram", "m.smx", "--side", "right"]),
+            (["check", "u.smx", "--json"], ["check", "u.smx"]),
+            (["gram", "m.smx"], ["gram", "m.smx", "--side", "left"]),
+            (["gram", "-h"], ["check", "u.smx"]),
+        ],
+        ids=["gram-o-then-stdout", "json-then-text", "usage-error-then-valid", "help-then-check"],
+    )
+    def test_calls_in_a_row_match_fresh_processes(self, tmp_path, monkeypatch, capsys, calls):
+        monkeypatch.setenv("COLUMNS", "80")  # the help width a child reads too
+        write_smx(tmp_path, "m.smx", fx.GRAM_LEFT_IN)
+        write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)
+        target = tmp_path / "out.smx"
+        calls = [[str(tmp_path / a) if a.endswith(".smx") else a for a in args] for args in calls]
+
+        def written():
+            data = target.read_bytes() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return data
+
+        in_row = []
+        for args in calls:
+            code, out, err = invoke(args)
+            in_row.append((code, capsys.readouterr().out + out, err, written()))
+        for args, result in zip(calls, in_row):
+            assert (*self.alone(args), written()) == result
+        assert ("-o" in calls[0]) == (in_row[0][3] is not None)  # an -o file was written and compared
+
+
 class TestCheckAndClassify:
     def test_check_improper_exits_3(self, tmp_path):
         f = write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)

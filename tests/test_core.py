@@ -21,6 +21,8 @@ from smx.errors import (
     CutOutOfRange,
     DimensionMismatch,
     DuplicateCut,
+    InvalidArgument,
+    InvalidValue,
     UnsortedCuts,
 )
 
@@ -106,6 +108,13 @@ class TestDenseMatrix:
         with pytest.raises(TypeError):
             DenseMatrix(1, 2, (Fraction(1), 0.5))
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_entries_rejected(self, flag):
+        with pytest.raises(InvalidArgument, match="refusing bool"):
+            make_super([[flag]])
+        with pytest.raises(InvalidArgument):
+            DenseMatrix(1, 2, (Fraction(1), flag))
+
     def test_string_entries_coerced(self):
         m = DenseMatrix.from_rows([["7/2", "-3"]])
         assert m.at(0, 0) == Fraction(7, 2)
@@ -184,6 +193,10 @@ class TestStrips:
 
     def test_bad_axis(self):
         with pytest.raises(ValueError):
+            strips(fx.TALL_7X5, "diagonal")
+
+    def test_bad_axis_is_typed(self):
+        with pytest.raises(InvalidValue, match="axis must be 'row' or 'column', got 'diagonal'"):
             strips(fx.TALL_7X5, "diagonal")
 
     @given(sts.supermatrices(max_rows=6, max_cols=6))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import fixtures as fx
 import strategies as sts
 from smx import flatten, format, make_super, make_union, parse, parse_scalar, union_strict_eq
-from smx.errors import EmptyInput, InconsistentCuts, ParseError, RaggedRows
+from smx.errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 
 CANONICAL = "[ 3 0 | 1\n  2 1 | 1\n  ----+--\n  5 2 | 0 ]\nU\n[ 7/2 -1 ]\n"
 
@@ -137,6 +137,11 @@ class TestParseErrors:
         assert exc.value.column == col
         assert exc.value.message == message
 
+    @pytest.mark.parametrize("data", [b"[ 1 ]\n", bytearray(b"[ 1 ]\n"), None, ["[ 1 ]"]])
+    def test_non_str_input_rejected(self, data):
+        with pytest.raises(InvalidArgument, match=f"expected a str, got {type(data).__name__}"):
+            parse(data)
+
     def test_messages_carry_position(self):
         with pytest.raises(ParseError) as exc:
             parse("[ 1 2\n3 ]")
@@ -232,3 +237,8 @@ class TestParseScalar:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_scalar(bad)
+
+    @pytest.mark.parametrize("text", [None, b"7", 7, True, ["7"]])
+    def test_rejects_non_str(self, text):
+        with pytest.raises(InvalidArgument, match=f"expected a str, got {type(text).__name__}"):
+            parse_scalar(text)
