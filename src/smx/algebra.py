@@ -15,20 +15,19 @@ above the diagonal, and mirrors them; it never builds the transpose.
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DenseMatrix, Partition, SuperMatrix, _submatrix, as_rational
+from .core import DenseMatrix, Partition, Record, SuperMatrix, _submatrix, as_rational
 from .errors import DimensionMismatch, InvalidValue, PartitionMismatch
 
 
-@dataclass(frozen=True)
-class ProductWitness:
+class ProductWitness(Record):
     """The partitions that made a block product well formed."""
 
-    inner_partition: Partition
-    left_row_partition: Partition
-    right_col_partition: Partition
+    __slots__ = ("inner_partition", "left_row_partition", "right_col_partition")
+
+    def __init__(self, inner_partition, left_row_partition, right_col_partition):
+        self._init(inner_partition, left_row_partition, right_col_partition)
 
 
 def value_eq(a, b):

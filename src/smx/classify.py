@@ -16,10 +16,10 @@ with mirrored entries but different row and column cuts is not symmetric as
 a supermatrix.
 """
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from . import algebra
+from .core import Record
 
 SIMPLE = "simple"
 ROW_SUPERVECTOR = "row_supervector"
@@ -39,18 +39,19 @@ QUASI_SYMMETRIC = "quasi_symmetric"
 NONE = "none"
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    arity: int
-    component_shapes: tuple
-    union_shape: str
-    symmetry: str
-    semi_super: bool
-    proper: bool
+class ClassReport(Record):
+    """What union_class finds: shapes, symmetry, semi-superness and properness."""
+
+    __slots__ = ("arity", "component_shapes", "union_shape", "symmetry", "semi_super", "proper")
+
+    def __init__(self, arity, component_shapes, union_shape, symmetry, semi_super, proper):
+        self._init(arity, component_shapes, union_shape, symmetry, semi_super, proper)
 
     def to_dict(self):
         """The fields in declared order, with component_shapes as a list."""
-        return {**asdict(self), "component_shapes": list(self.component_shapes)}
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields["component_shapes"] = list(self.component_shapes)
+        return fields
 
 
 def shape_class(s):

@@ -2,8 +2,9 @@
 
 Subcommands read .smx files and either report on them (check, classify, eq)
 or produce a new .smx file (add, sub, mul, scale, transpose, flatten, gram).
-Results go to stdout unless -o names a file; output files are written via a
-temp file and os.replace so a failure never leaves a partial file.
+Results, and help text, go to run's stdout unless -o names a file; output
+files are written via a temp file and os.replace so a failure never leaves a
+partial file.
 
 The argument parser is built on the first call of run and reused by every
 later call in the same process: parsing never changes it, each call gets a
@@ -15,10 +16,8 @@ Exit codes: 0 success, 1 unreadable or unparsable input (and usage errors),
 
 import argparse
 import functools
-import json
 import os
 import sys
-import tempfile
 
 from . import textio
 from .classify import improper_pair, union_class
@@ -73,12 +72,12 @@ def _emit(text, path, out):
     target = os.path.realpath(path)  # write through a symlink, as '>' does
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".smx-")
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        name = os.path.join(os.path.dirname(target), f".smx-{os.urandom(8).hex()}")
+        # O_EXCL: never open an existing file; mode 0o666 & ~umask, as '>' gives
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name  # ours from here on, so removed if anything below fails
+        with open(fd, "w", encoding="utf-8") as f:
             f.write(text)
-        umask = os.umask(0)  # mkstemp makes the file 0600; give it the mode '>' would
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except OSError as e:
         if tmp is not None:
@@ -113,7 +112,12 @@ def _operands(ns):
 def _cmd_report(ns, out, err):
     (u,) = _operands(ns)
     report = union_class(u)
-    out.write(json.dumps(report.to_dict(), indent=2) + "\n" if ns.json else _report_text(report))
+    if ns.json:
+        import json  # only --json needs it; a top-level import would slow every call's start
+
+        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    else:
+        out.write(_report_text(report))
     if ns.gate and not report.proper:
         i, j = improper_pair(u)
         err.write(f"improper union: identical components {i} and {j}\n")
@@ -175,7 +179,11 @@ def run(argv=None, stdout=None, stderr=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = _build_parser().parse_args(argv)
+        saved, sys.stdout = sys.stdout, out  # argparse prints help to sys.stdout
+        try:
+            ns = _build_parser().parse_args(argv)
+        finally:
+            sys.stdout = saved
         return ns.func(ns, out, err)
     except (_Failure, DimensionMismatch, PartitionMismatch, ArityMismatch) as e:
         err.write(f"{e}\n")

@@ -15,8 +15,8 @@ and optionally '/' and more ASCII digits. Numbers of any length are read
 and written without touching Python's process-wide int/str digit limit.
 """
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, pairwise
 
@@ -91,18 +91,72 @@ def as_rational(x):
     if isinstance(x, str):
         return parse_scalar(x)
     if isinstance(x, float):
-        raise TypeError(f"refusing float {x!r}; use Fraction or a string like '7/2'")
+        raise InvalidArgument(f"refusing float {x!r}; use Fraction or a string like '7/2'")
     if isinstance(x, bool):  # an int subclass, but never an entry
         raise InvalidArgument(f"refusing bool {x!r}; use an int, a Fraction or a string like '7/2'")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except TypeError:
+        raise InvalidArgument(
+            f"refusing {type(x).__name__} {x!r}; use an int, a Fraction or a string like '7/2'"
+        ) from None
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """Base of the immutable value classes; the fields are the subclass's __slots__.
+
+    A subclass's __init__ hands its arguments to _init, which stores them and
+    runs __post_init__ to validate them (and to normalise a field with
+    object.__setattr__). Records compare equal when they are of the same class
+    with equal fields, hash by their fields, print as Name(field=value, ...),
+    refuse assignment, and pickle and copy by calling the class again.
+    """
+
+    __slots__ = ("_values",)  # the fields once validated, compared and hashed as one
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+        cls._get_values = operator.attrgetter(*cls.__slots__)  # a single field is read bare
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+        object.__setattr__(self, "_values", self._get_values(self))
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Partition(Record):
     """Cut positions for one axis. cuts=() is the trivial partition."""
 
-    length: int
-    cuts: tuple = ()
+    __slots__ = ("length", "cuts")
+
+    def __init__(self, length, cuts=()):
+        self._init(length, cuts)
 
     def __post_init__(self):
         # type(), not isinstance: bool is an int subclass but never a length or a cut.
@@ -142,13 +196,13 @@ def make_partition(length, cuts=()):
     return Partition(length, tuple(cuts))
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
+class DenseMatrix(Record):
     """Row-major immutable matrix of Fractions."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows, cols, entries):
+        self._init(rows, cols, entries)
 
     def __post_init__(self):
         if type(self.rows) is not int or type(self.cols) is not int or self.rows < 1 or self.cols < 1:
@@ -184,13 +238,13 @@ class DenseMatrix:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class SuperMatrix:
+class SuperMatrix(Record):
     """A dense matrix plus one partition per axis."""
 
-    data: DenseMatrix
-    row_partition: Partition
-    col_partition: Partition
+    __slots__ = ("data", "row_partition", "col_partition")
+
+    def __init__(self, data, row_partition, col_partition):
+        self._init(data, row_partition, col_partition)
 
     def __post_init__(self):
         if self.row_partition.length != self.data.rows:

@@ -236,5 +236,5 @@ def format(u):
     elif isinstance(u, SuperNMatrix):
         comps = u.components
     else:
-        raise TypeError(f"cannot format {type(u).__name__}")
+        raise InvalidArgument(f"cannot format {type(u).__name__}")
     return "\nU\n".join(_format_component(c) for c in comps) + "\n"

@@ -6,18 +6,18 @@ name the 1-based component that failed. The shape, symmetry and properness
 of a union are decided in classify.
 """
 
-from dataclasses import dataclass
-
 from . import algebra
-from .core import SuperMatrix, make_super
+from .core import Record, SuperMatrix, make_super
 from .errors import ArityMismatch, DimensionMismatch, EmptyUnion, InvalidArgument, PartitionMismatch
 
 
-@dataclass(frozen=True)
-class SuperNMatrix:
+class SuperNMatrix(Record):
     """Ordered union of n >= 1 supermatrix components."""
 
-    components: tuple
+    __slots__ = ("components",)
+
+    def __init__(self, components):
+        self._init(components)
 
     def __post_init__(self):
         comps = tuple(self.components)

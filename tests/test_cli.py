@@ -177,6 +177,23 @@ class TestArithmeticCommands:
         assert not target.exists()
         assert str(target) in err
 
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        (tmp_path / "out.smx").mkdir()  # the temp file is written, then cannot replace a directory
+        code, _, err = invoke(["transpose", f, "-o", str(tmp_path / "out.smx")])
+        assert code == 1 and "out.smx" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.smx", "out.smx"]
+
+    def test_temp_name_collision_leaves_the_other_file(self, tmp_path, monkeypatch):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        theirs = tmp_path / f".smx-{bytes(8).hex()}"
+        theirs.write_text("someone else's\n")
+        code, _, err = invoke(["transpose", f, "-o", str(tmp_path / "out.smx")])
+        assert code == 1 and "File exists" in err
+        assert theirs.read_text() == "someone else's\n"
+        assert not (tmp_path / "out.smx").exists()
+
     def test_incompatible_operands_leave_no_file(self, tmp_path):
         a = write_smx(tmp_path, "a.smx", fx.ADD_MISMATCH_PAIR[0])
         b = write_smx(tmp_path, "b.smx", fx.ADD_MISMATCH_PAIR[1])
@@ -206,7 +223,7 @@ class TestSharedParser:
         ],
         ids=["gram-o-then-stdout", "json-then-text", "usage-error-then-valid", "help-then-check"],
     )
-    def test_calls_in_a_row_match_fresh_processes(self, tmp_path, monkeypatch, capsys, calls):
+    def test_calls_in_a_row_match_fresh_processes(self, tmp_path, monkeypatch, calls):
         monkeypatch.setenv("COLUMNS", "80")  # the help width a child reads too
         write_smx(tmp_path, "m.smx", fx.GRAM_LEFT_IN)
         write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)
@@ -221,7 +238,7 @@ class TestSharedParser:
         in_row = []
         for args in calls:
             code, out, err = invoke(args)
-            in_row.append((code, capsys.readouterr().out + out, err, written()))
+            in_row.append((code, out, err, written()))
         for args, result in zip(calls, in_row):
             assert (*self.alone(args), written()) == result
         assert ("-o" in calls[0]) == (in_row[0][3] is not None)  # an -o file was written and compared
@@ -362,6 +379,23 @@ class TestFailures:
         assert "usage error" in err
 
     def test_help_exits_zero(self, capsys):
-        code, _, _ = invoke(["-h"])
+        code, out, _ = invoke(["-h"])
         assert code == 0
-        assert "COMMAND" in capsys.readouterr().out
+        assert "COMMAND" in out
+        assert capsys.readouterr().out == ""  # nothing went past the stream run was given
+
+    @pytest.mark.parametrize("args", [["-h"], ["--help"], ["gram", "-h"], ["check", "--help"]])
+    def test_help_goes_to_the_given_stream(self, monkeypatch, capsys, args):
+        monkeypatch.setenv("COLUMNS", "80")  # the help width a child reads too
+        assert invoke(args) == TestSharedParser.alone(args)
+        assert capsys.readouterr() == ("", "")
+
+
+def test_import_loads_no_unneeded_stdlib():
+    """Every CLI call imports smx.cli; none of these modules is needed to start it."""
+    unneeded = ("dataclasses", "inspect", "tempfile", "json")
+    probe = f"import sys, smx.cli; print(sorted(set({unneeded!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    # -S: site and its .pth files may import any of them before smx is reached
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -6,13 +8,19 @@ from hypothesis import given
 import fixtures as fx
 import strategies as sts
 from smx import (
+    ClassReport,
     DenseMatrix,
     Partition,
+    ProductWitness,
+    SuperMatrix,
+    SuperNMatrix,
     block,
     flatten,
+    format,
     grid_shape,
     make_partition,
     make_super,
+    scale,
     strict_eq,
     strips,
 )
@@ -203,3 +211,100 @@ class TestStrips:
     def test_round_trip(self, s):
         assert strict_eq(_restack_rows(strips(s, "row"), s), s)
         assert strict_eq(_restack_cols(strips(s, "column"), s), s)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_super([[0.5]]),
+        lambda: scale(1.5, make_super([[1]])),
+        lambda: make_super([[None]]),
+        lambda: format(42),
+    ],
+    ids=["float-entry", "float-scalar", "none-entry", "format-int"],
+)
+def test_wrong_types_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument) as raised:
+        call()
+    assert isinstance(raised.value, TypeError)  # existing `except TypeError` code still catches it
+
+
+_P = Partition(3, (1,))
+_S = SuperMatrix(DenseMatrix(1, 3, (Fraction(1), Fraction(2), Fraction(3))), Partition(1), _P)
+_S_TEXT = (
+    "SuperMatrix(data=DenseMatrix(rows=1, cols=3, entries=(Fraction(1, 1), Fraction(2, 1), Fraction(3, 1))), "
+    "row_partition=Partition(length=1, cuts=()), col_partition=Partition(length=3, cuts=(1,)))"
+)
+_REPORT = {
+    "arity": 1,
+    "component_shapes": ("simple",),
+    "union_shape": "square(1)",
+    "symmetry": "symmetric",
+    "semi_super": False,
+    "proper": True,
+}
+
+
+@pytest.mark.parametrize(
+    "cls, fields, text",
+    [
+        pytest.param(Partition, {"length": 3, "cuts": (1,)}, "Partition(length=3, cuts=(1,))", id="Partition"),
+        pytest.param(Partition, {"length": 2}, "Partition(length=2, cuts=())", id="Partition-default-cuts"),
+        pytest.param(
+            DenseMatrix,
+            {"rows": 1, "cols": 2, "entries": (Fraction(1, 2), Fraction(3))},
+            "DenseMatrix(rows=1, cols=2, entries=(Fraction(1, 2), Fraction(3, 1)))",
+            id="DenseMatrix",
+        ),
+        pytest.param(
+            SuperMatrix,
+            {"data": _S.data, "row_partition": Partition(1), "col_partition": _P},
+            _S_TEXT,
+            id="SuperMatrix",
+        ),
+        pytest.param(
+            ProductWitness,
+            {"inner_partition": _P, "left_row_partition": Partition(1), "right_col_partition": _P},
+            "ProductWitness(inner_partition=Partition(length=3, cuts=(1,)), "
+            "left_row_partition=Partition(length=1, cuts=()), right_col_partition=Partition(length=3, cuts=(1,)))",
+            id="ProductWitness",
+        ),
+        pytest.param(SuperNMatrix, {"components": (_S,)}, f"SuperNMatrix(components=({_S_TEXT},))", id="SuperNMatrix"),
+        pytest.param(
+            ClassReport,
+            _REPORT,
+            "ClassReport(arity=1, component_shapes=('simple',), union_shape='square(1)', symmetry='symmetric', "
+            "semi_super=False, proper=True)",
+            id="ClassReport",
+        ),
+    ],
+)
+def test_records_behave_as_frozen_values(cls, fields, text):
+    r = cls(**fields)
+    assert r == cls(*fields.values()) and hash(r) == hash(cls(*fields.values()))
+    assert repr(r) == text
+    assert tuple(getattr(r, name) for name in cls.__match_args__[: len(fields)]) == tuple(fields.values())
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert type(twin) is cls and twin == r and hash(twin) == hash(r)
+    for name in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(r, name, getattr(r, name))
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    assert r == cls(*(getattr(r, name) for name in cls.__match_args__))
+
+
+def test_records_compare_by_class_and_fields():
+    assert Partition(3, (1,)) != Partition(3, (2,)) and Partition(3) == Partition(3, ())
+    assert hash(Partition(3, [1])) == hash(Partition(3, (1,)))  # cuts are stored as a tuple
+
+    class Sub(Partition):
+        pass
+
+    assert Partition(3, (1,)) != Sub(3, (1,))  # the same fields in another class are not equal
+    assert Partition(3, (1,)) != (3, (1,))
+    match make_super([[1, 2]], (), (1,)):
+        case SuperMatrix(DenseMatrix(rows, cols, _), Partition(), Partition(_, cuts)):
+            assert (rows, cols, cuts) == (1, 2, (1,))
+        case _:
+            pytest.fail("positional patterns follow the declared fields")
