@@ -60,18 +60,18 @@ def _str(n):
 
 
 def parse_scalar(text):
-    """One rational like '-3' or '7/2'. Raises ValueError on any other str."""
+    """One rational like '-3' or '7/2'. Raises InvalidValue, a ValueError, on any other str."""
     if not isinstance(text, str):
         raise InvalidArgument(f"expected a str, got {type(text).__name__}")
     m = _SCALAR.fullmatch(text.strip(_BLANKS))
     if m is None:
-        raise ValueError(f"invalid rational {text!r}")
+        raise InvalidValue(f"invalid rational {text!r}")
     numerator, denominator = m.groups()
     if denominator is None:
         return Fraction(_int(numerator))
     denominator = _int(denominator)
     if not denominator:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise InvalidValue(f"zero denominator in {text!r}")
     return Fraction(_int(numerator), denominator)
 
 
@@ -100,6 +100,17 @@ def as_rational(x):
         raise InvalidArgument(
             f"refusing {type(x).__name__} {x!r}; use an int, a Fraction or a string like '7/2'"
         ) from None
+    except (ValueError, OverflowError) as e:  # a NaN or infinite Decimal
+        raise InvalidValue(str(e)) from None
+
+
+def _tuple(items, what):
+    """tuple(items), a tuple passed as it is; InvalidArgument if items cannot be iterated."""
+    try:
+        iterator = iter(items)
+    except TypeError:
+        raise InvalidArgument(f"{what} must be iterable, got {type(items).__name__}") from None
+    return items if type(items) is tuple else tuple(iterator)
 
 
 class Record:
@@ -162,7 +173,7 @@ class Partition(Record):
         # type(), not isinstance: bool is an int subclass but never a length or a cut.
         if type(self.length) is not int or self.length < 1:
             raise DimensionMismatch(f"axis length must be a positive integer, got {self.length!r}")
-        cuts = tuple(self.cuts)
+        cuts = _tuple(self.cuts, "cuts")
         object.__setattr__(self, "cuts", cuts)
         prev = 0
         for c in cuts:
@@ -193,7 +204,7 @@ class Partition(Record):
 
 
 def make_partition(length, cuts=()):
-    return Partition(length, tuple(cuts))
+    return Partition(length, cuts)
 
 
 class DenseMatrix(Record):
@@ -209,7 +220,7 @@ class DenseMatrix(Record):
             raise DimensionMismatch(
                 f"matrix dimensions must be positive integers, got {self.rows!r}x{self.cols!r}"
             )
-        entries = tuple(self.entries)
+        entries = _tuple(self.entries, "entries")
         if not {*map(type, entries)} <= {Fraction}:  # exact Fractions pass as they are
             entries = tuple(map(as_rational, entries))
         if len(entries) != self.rows * self.cols:
@@ -220,7 +231,8 @@ class DenseMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
+        # a list row is only read, never kept; any other row is iterated once, or refused
+        rows = [r if type(r) is list else _tuple(r, "each row") for r in _tuple(rows, "rows")]
         if not rows:
             raise DimensionMismatch("matrix needs at least one row")
         width = len(rows[0])
@@ -278,7 +290,7 @@ def _as_partition(p, length):
         if p.length != length:
             raise DimensionMismatch(f"partition covers {p.length} positions, axis has {length}")
         return p
-    return Partition(length, tuple(p))
+    return Partition(length, p)
 
 
 def make_super(data, row_partition=(), col_partition=()):

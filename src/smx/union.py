@@ -7,7 +7,7 @@ of a union are decided in classify.
 """
 
 from . import algebra
-from .core import Record, SuperMatrix, make_super
+from .core import Record, SuperMatrix, _tuple, make_super
 from .errors import ArityMismatch, DimensionMismatch, EmptyUnion, InvalidArgument, PartitionMismatch
 
 
@@ -20,7 +20,7 @@ class SuperNMatrix(Record):
         self._init(components)
 
     def __post_init__(self):
-        comps = tuple(self.components)
+        comps = _tuple(self.components, "components")
         if not comps:
             raise EmptyUnion("union needs at least one component")
         for k, c in enumerate(comps, start=1):
@@ -34,7 +34,7 @@ class SuperNMatrix(Record):
 
 
 def make_union(components):
-    return SuperNMatrix(tuple(components))
+    return SuperNMatrix(components)
 
 
 def _lift(op, u):

@@ -1,9 +1,11 @@
+import errno
 import io
 import json
 import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,26 @@ def write_smx(tmp_path, name, content):
     p = tmp_path / name
     p.write_text(content if isinstance(content, str) else smx.format(content))
     return str(p)
+
+
+def write_big(tmp_path):
+    """A one-component file whose transpose is over 100 KB, more than any stdout buffer holds."""
+    rows = [[Fraction(131 * i + 7919 * j, j % 5 + 1) for j in range(120)] for i in range(120)]
+    return write_smx(tmp_path, "big.smx", smx.make_union([smx.make_super(rows, [40], [60])]))
+
+
+def child(args, **kwargs):
+    """python -m smx.cli args in a fresh process, stdout block-buffered as when run from a shell."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "smx.cli", *args], env=env, check=False, **kwargs)
+
+
+class _Failing(io.StringIO):
+    """A stream whose every write fails as a closed pipe does."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
 class TestArithmeticCommands:
@@ -242,6 +264,83 @@ class TestSharedParser:
         for args, result in zip(calls, in_row):
             assert (*self.alone(args), written()) == result
         assert ("-o" in calls[0]) == (in_row[0][3] is not None)  # an -o file was written and compared
+
+
+class TestStdoutFailures:
+    """A result that cannot be written to stdout ends in one stderr line and exit 1."""
+
+    @pytest.mark.parametrize("size", ["100 KB", "tiny"])  # failing inside run / at main's final flush
+    @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+    def test_unwritable_stdout_is_one_line(self, tmp_path, size, target):
+        f = write_big(tmp_path) if size == "100 KB" else write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        if target == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            reason = os.strerror(errno.EPIPE)
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+            reason = os.strerror(errno.ENOSPC)
+        try:
+            done = child(["transpose", f], stdout=stdout, stderr=subprocess.PIPE)
+        finally:
+            os.close(stdout)
+        assert (done.returncode, done.stderr) == (1, f"stdout: {reason}\n".encode())
+
+    @pytest.mark.parametrize(
+        "args",
+        [["transpose", "big.smx"], ["check", "big.smx", "--json"], ["eq", "big.smx", "big.smx", "--mode", "value"]],
+        ids=lambda args: args[0],
+    )
+    def test_failing_stream_in_process(self, tmp_path, args):
+        write_big(tmp_path)
+        err = io.StringIO()
+        code = run([str(tmp_path / a) if a.endswith(".smx") else a for a in args], stdout=_Failing(), stderr=err)
+        assert (code, err.getvalue()) == (1, f"stdout: {os.strerror(errno.EPIPE)}\n")
+
+    @pytest.mark.parametrize(
+        "args, code", [(["check", "u.smx"], 3), (["check", "nope.smx"], 1)], ids=["improper", "missing"]
+    )
+    def test_failing_stderr_is_ignored(self, tmp_path, args, code):
+        write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)
+        args = [str(tmp_path / a) for a in args[1:]]
+        out = io.StringIO()
+        assert run(["check", *args], stdout=out, stderr=_Failing()) == code
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                done = child(["check", *args], stdout=subprocess.PIPE, stderr=full)
+            assert (done.returncode, done.stdout.decode()) == (code, out.getvalue())
+
+
+class TestFlushBeforeExit:
+    """main ends the process with os._exit, after flushing a block-buffered stdout and stderr."""
+
+    @pytest.mark.parametrize("size", ["100 KB", "tiny"])  # a tiny result stays in the buffer until main flushes
+    def test_stdout_to_a_pipe_and_to_a_file(self, tmp_path, size):
+        f = write_big(tmp_path) if size == "100 KB" else write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        code, expected, _ = invoke(["transpose", f])
+        assert code == 0 and (len(expected) >= 100_000) == (size == "100 KB")
+        done = child(["transpose", f], capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected.encode(), b"")
+        with open(tmp_path / "stdout.smx", "wb") as out:
+            assert child(["transpose", f], stdout=out).returncode == 0
+        assert (tmp_path / "stdout.smx").read_bytes() == expected.encode()
+
+    def test_operand_mismatch_line(self, tmp_path):
+        a = write_smx(tmp_path, "a.smx", fx.ADD_MISMATCH_PAIR[0])
+        b = write_smx(tmp_path, "b.smx", fx.ADD_MISMATCH_PAIR[1])
+        expected = invoke(["add", a, b])
+        assert expected[0] == 2 and expected[2].endswith("\n")
+        done = child(["add", a, b], capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == expected
+
+    def test_output_file(self, tmp_path):
+        f = write_big(tmp_path)
+        _, expected, _ = invoke(["transpose", f])
+        done = child(["transpose", f, "-o", str(tmp_path / "out.smx")], capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert (tmp_path / "out.smx").read_bytes() == expected.encode()
 
 
 class TestCheckAndClassify:

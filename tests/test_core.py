@@ -1,9 +1,11 @@
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 import strategies as sts
@@ -14,12 +16,15 @@ from smx import (
     ProductWitness,
     SuperMatrix,
     SuperNMatrix,
+    as_rational,
     block,
     flatten,
     format,
     grid_shape,
     make_partition,
     make_super,
+    make_union,
+    parse_scalar,
     scale,
     strict_eq,
     strips,
@@ -31,6 +36,7 @@ from smx.errors import (
     DuplicateCut,
     InvalidArgument,
     InvalidValue,
+    SmxError,
     UnsortedCuts,
 )
 
@@ -220,13 +226,91 @@ class TestStrips:
         lambda: scale(1.5, make_super([[1]])),
         lambda: make_super([[None]]),
         lambda: format(42),
+        lambda: make_partition(3, None),
+        lambda: make_partition(3, 5),
+        lambda: make_super(None),
+        lambda: make_super([1, 2]),
+        lambda: make_super([[1]], None),
+        lambda: make_union(None),
+        lambda: DenseMatrix(1, 1, None),
     ],
-    ids=["float-entry", "float-scalar", "none-entry", "format-int"],
+    ids=[
+        "float-entry",
+        "float-scalar",
+        "none-entry",
+        "format-int",
+        "none-cuts",
+        "int-cuts",
+        "none-rows",
+        "int-rows",
+        "none-partition",
+        "none-components",
+        "none-entries",
+    ],
 )
 def test_wrong_types_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument) as raised:
         call()
     assert isinstance(raised.value, TypeError)  # existing `except TypeError` code still catches it
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_scalar("1e3"), "invalid rational '1e3'"),
+        (lambda: make_super([["1e3"]]), "invalid rational '1e3'"),
+        (lambda: make_super([["1/0"]]), "zero denominator in '1/0'"),
+        (lambda: make_super([[Decimal("NaN")]]), "cannot convert NaN to integer ratio"),
+        (lambda: make_super([[Decimal("sNaN")]]), "cannot convert NaN to integer ratio"),
+        (lambda: make_super([[Decimal("Infinity")]]), "cannot convert Infinity to integer ratio"),
+        (lambda: scale(Decimal("-Infinity"), make_super([[1]])), "cannot convert Infinity to integer ratio"),
+    ],
+    ids=["parse-scalar", "string-entry", "zero-denominator", "nan", "snan", "infinity", "infinite-scalar"],
+)
+def test_bad_values_raise_invalid_value(call, message):
+    with pytest.raises(InvalidValue) as raised:
+        call()
+    assert str(raised.value) == message
+    assert isinstance(raised.value, ValueError)  # existing `except ValueError` code still catches it
+
+
+_JUNK = st.one_of(
+    st.floats(),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([Decimal(v) for v in ("NaN", "-NaN", "sNaN", "Infinity", "-Infinity")]),
+    st.decimals(min_value=-(10**6), max_value=10**6, places=3),
+    st.text("0123456789-+/.e_ \t\n\u0663\u096a\uff17", max_size=10),  # includes non-ASCII digits
+    st.text(max_size=6),
+    st.integers(),
+    st.fractions(),
+    st.complex_numbers(),
+    st.binary(max_size=4),
+    st.lists(st.integers(-2, 4), max_size=3),
+    st.builds(object),
+)
+_EDGE_CALLS = {
+    "entry": lambda x: make_super([[1, x]]),
+    "scale-factor": lambda x: scale(x, make_super([[1, 2]])),
+    "parse_scalar": parse_scalar,
+    "as_rational": as_rational,
+    "cuts": lambda x: make_partition(3, x),
+    "rows": make_super,
+    "row": lambda x: make_super([x]),
+    "partition": lambda x: make_super([[1, 2]], (), x),
+    "components": make_union,
+    "entries": lambda x: DenseMatrix(1, 1, x),
+}
+
+
+@pytest.mark.parametrize("call", _EDGE_CALLS.values(), ids=_EDGE_CALLS)
+@given(junk=_JUNK)
+@settings(max_examples=200)
+def test_junk_at_the_public_edge_succeeds_or_raises_smx_error(call, junk):
+    try:
+        call(junk)
+    except SmxError:
+        pass
 
 
 _P = Partition(3, (1,))
