@@ -16,8 +16,9 @@ above the diagonal, and mirrors them; it never builds the transpose.
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 
-from .core import DenseMatrix, Partition, Record, SuperMatrix, _submatrix, as_rational
+from .core import DenseMatrix, Record, SuperMatrix, _columns, _rows, as_rational
 from .errors import DimensionMismatch, InvalidValue, PartitionMismatch
 
 
@@ -71,8 +72,7 @@ def scale(k, a):
 
 
 def transpose(a):
-    columns = _submatrix(a.data.entries, range(a.cols), range(a.rows), 1, a.cols)
-    entries = tuple(x for column in columns for x in column)
+    entries = tuple(chain.from_iterable(_columns(a.data)))
     return SuperMatrix(DenseMatrix(a.cols, a.rows, entries), a.col_partition, a.row_partition)
 
 
@@ -85,11 +85,10 @@ def _over_lcm(xs):
 def _dense_mul(a, b):
     """Rows of a and columns of b over their own lcm denominators: each product
     entry is one integer dot product and one Fraction, not k Fraction sums."""
-    n, k, m = a.rows, a.cols, b.cols
-    rows = [_over_lcm(a.entries[i * k : (i + 1) * k]) for i in range(n)]
-    cols = [_over_lcm(b.entries[j::m]) for j in range(m)]
+    rows = [_over_lcm(row) for row in _rows(a)]
+    cols = [_over_lcm(col) for col in _columns(b)]
     out = tuple(Fraction(sum(map(operator.mul, r, c)), p * q) for r, p in rows for c, q in cols)
-    return DenseMatrix(n, m, out)
+    return DenseMatrix(a.rows, b.cols, out)
 
 
 def super_mul(a, b):
@@ -112,11 +111,10 @@ def gram(a, side="right"):
     of a, so only i <= j is computed and each entry is mirrored. The result
     carries a's row (right) or column (left) partition on both axes.
     """
-    x, k = a.data.entries, a.cols
     if side == "right":
-        lines, partition = [x[i * k : (i + 1) * k] for i in range(a.rows)], a.row_partition
+        lines, partition = _rows(a.data), a.row_partition
     elif side == "left":
-        lines, partition = [x[j::k] for j in range(k)], a.col_partition
+        lines, partition = _columns(a.data), a.col_partition
     else:
         raise InvalidValue(f"side must be 'left' or 'right', got {side!r}")
     scaled = [_over_lcm(line) for line in lines]

@@ -17,8 +17,8 @@ process (Python 3.11, 2-core VM), and nothing here needs it, since an -o file
 is closed before it is renamed into place and no atexit handler is
 registered. An uncaught exception is a bug and still ends the normal way,
 with its traceback. A result that cannot be written to stdout (a closed pipe,
-a full disk) is one line on stderr and exit 1; a failing stderr is ignored,
-as nothing is left to report it on.
+a full disk, a closed fd 1) is one line on stderr and exit 1; a failing
+stderr is ignored, as nothing is left to report it on.
 
 Exit codes: 0 success, 1 unreadable or unparsable input (and usage errors,
 and stdout that cannot be written), 2 incompatible operands, 3 check found an
@@ -26,6 +26,7 @@ improper union.
 """
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -70,7 +71,9 @@ def _stdout_failure(e):
 
 
 def _write(out, text):
-    """Write a result to out; a closed pipe or a full disk is a one-line failure."""
+    """Write a result to out; a closed pipe, a full disk or a closed fd 1 is a one-line failure."""
+    if out is None:  # sys.stdout when the process started with fd 1 closed
+        raise _Failure(FAILED_READ, f"stdout: {os.strerror(errno.EBADF)}")
     try:
         out.write(text)
     except OSError as e:

@@ -247,7 +247,19 @@ class DenseMatrix(Record):
         return self.entries[i * self.cols + j]
 
     def to_rows(self):
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
+        return [list(row) for row in _rows(self)]
+
+
+def _rows(m):
+    """The rows of DenseMatrix m, each a tuple slice of its entries."""
+    x, w = m.entries, m.cols
+    return [x[i : i + w] for i in range(0, len(x), w)]
+
+
+def _columns(m):
+    """The columns of DenseMatrix m, each a tuple slice of its entries."""
+    x, w = m.entries, m.cols
+    return [x[j::w] for j in range(w)]
 
 
 class SuperMatrix(Record):
@@ -259,6 +271,11 @@ class SuperMatrix(Record):
         self._init(data, row_partition, col_partition)
 
     def __post_init__(self):
+        if not isinstance(self.data, DenseMatrix):
+            raise InvalidArgument(f"data must be a DenseMatrix, got {type(self.data).__name__}")
+        for p in (self.row_partition, self.col_partition):
+            if not isinstance(p, Partition):
+                raise InvalidArgument(f"a partition must be a Partition, got {type(p).__name__}")
         if self.row_partition.length != self.data.rows:
             raise DimensionMismatch(
                 f"row partition covers {self.row_partition.length} rows, matrix has {self.data.rows}"
@@ -312,23 +329,13 @@ def grid_shape(s):
     return (s.row_partition.block_count, s.col_partition.block_count)
 
 
-def _submatrix(entries, rows, cols, row_step, col_step=1):
-    """Row slices of the submatrix ``rows`` x ``cols`` (ranges) of flat ``entries``.
-
-    Entry (r, c) sits at r * row_step + c * col_step: a row-major matrix w wide
-    has row_step=w; row_step=1, col_step=w reads it as its transpose.
-    """
-    first, span = cols.start * col_step, len(cols) * col_step
-    return [entries[r * row_step + first : r * row_step + first + span : col_step] for r in rows]
-
-
 def block(s, i, j):
     """Block (i, j) of the grid, 1-based, as a SuperMatrix with trivial partitions."""
     rb, cb = grid_shape(s)
     if not (1 <= i <= rb) or not (1 <= j <= cb):
         raise BlockIndexOutOfRange(f"block ({i}, {j}) outside {rb}x{cb} grid")
-    r, c = s.row_partition.bounds, s.col_partition.bounds
-    return make_super(_submatrix(s.data.entries, range(r[i - 1], r[i]), range(c[j - 1], c[j]), s.cols))
+    (r0, r1), (c0, c1) = s.row_partition.bounds[i - 1 : i + 1], s.col_partition.bounds[j - 1 : j + 1]
+    return make_super([row[c0:c1] for row in _rows(s.data)[r0:r1]])
 
 
 def flatten(s):
@@ -342,10 +349,9 @@ def strips(s, axis):
     axis="row" keeps the column partition on every strip; axis="column" keeps
     the row partition. Re-stacking the strips in order recovers the original.
     """
-    if axis == "row":
-        pieces = [(range(r0, r1), range(s.cols), (), s.col_cuts) for r0, r1 in s.row_partition.blocks()]
-    elif axis == "column":
-        pieces = [(range(s.rows), range(c0, c1), s.row_cuts, ()) for c0, c1 in s.col_partition.blocks()]
-    else:
+    if axis not in ("row", "column"):
         raise InvalidValue(f"axis must be 'row' or 'column', got {axis!r}")
-    return [make_super(_submatrix(s.data.entries, r, c, s.cols), rc, cc) for r, c, rc, cc in pieces]
+    rows = _rows(s.data)
+    if axis == "row":
+        return [make_super(rows[r0:r1], (), s.col_cuts) for r0, r1 in s.row_partition.blocks()]
+    return [make_super([row[c0:c1] for row in rows], s.row_cuts, ()) for c0, c1 in s.col_partition.blocks()]

@@ -13,12 +13,13 @@ separates components; text after it is an error at that text's column:
     U
     [ 7/2 -1 ]
 
-A row line that holds only scalars, blanks, '|' and an opening '[' or closing
-']' is read whole, with one regular expression and one Fraction per distinct
-token text in the input. Any other line, and a row line with an invalid
-scalar, is read token by token; the component reader that both paths share
-reports every error, so its type, line, column and message do not depend on
-the path.
+parse decides what each line is: blank, a separator, a row cut, or the
+opening '[' of a component. The component reader takes the rest of the line.
+It first tries to read it whole, as scalars, blanks, '|' and an optional
+closing ']', with one regular expression and one Fraction per distinct token
+text in the input. Any other text, and a row with an invalid scalar, it reads
+token by token, reporting every error; so an error's type, line, column and
+message do not depend on which way the line was read.
 
 Parsing accepts LF or CRLF line ends, any run of spaces and tabs between
 tokens (no other blank) and fractions not in lowest terms ('2/4' reads as
@@ -40,15 +41,13 @@ _SEPARATORS = ("U", "∪")
 # tokens are skipped. '+' stays in the run so that '1+2' is reported whole,
 # as an invalid rational.
 _TOKEN = re.compile(rf"(?P<scalar>[-+/0-9]+)|[^{_BLANKS}]")
-# A whole row line: scalars separated by blanks or '|', an optional '[' before
-# them and ']' after. A scalar never runs into another scalar character, so
-# the line splits into exactly the scalars _TOKEN would find.
+# A whole row: scalars separated by blanks or '|', and an optional closing ']'.
+# A scalar never runs into another scalar character, so the row splits into
+# exactly the scalars _TOKEN would find.
 _B = f"[{_BLANKS}]"
 _NUMBER = rf"(?:{_SCALAR.pattern})(?![-+/0-9])"
-_ROW_LINE = re.compile(
-    rf"{_B}*(?:(?P<open>\[){_B}*)?"
-    rf"(?P<body>{_NUMBER}(?:(?:{_B}*\|{_B}*|{_B}+){_NUMBER})*)"
-    rf"(?:{_B}*(?P<close>\]))?{_B}*"
+_ROW = re.compile(
+    rf"{_B}*(?P<body>{_NUMBER}(?:(?:{_B}*\|{_B}*|{_B}+){_NUMBER})*)(?:{_B}*(?P<close>\]))?{_B}*"
 )
 
 
@@ -60,24 +59,12 @@ class _Scalars(dict):
         return value
 
 
-def _row(body, scalars):
-    """(entries, column cuts) of a _ROW_LINE body; None if a scalar is invalid."""
-    row, cuts = [], []
-    try:
-        for segment in body.split("|"):
-            if row:
-                cuts.append(len(row))
-            row += map(scalars.__getitem__, segment.split())
-    except ValueError:
-        return None
-    return row, cuts
-
-
 class _Component:
-    """An open bracketed component, read one line of tokens at a time."""
+    """An open bracketed component, read one line at a time."""
 
-    def __init__(self, line_no, col):
+    def __init__(self, line_no, col, scalars):
         self.opened = (line_no, col)
+        self.scalars = scalars
         self.rows, self.row_cuts, self.col_cuts = [], [], None
         self.row, self.cuts = [], []  # the row being read and its column cuts
 
@@ -115,14 +102,30 @@ class _Component:
             raise ParseError("row cut after the last row", line_no, col)
         return make_super(self.rows, self.row_cuts, self.col_cuts)
 
-    def read(self, line, tokens, line_no):
-        """Read one line's tokens. The SuperMatrix once ']' closes the component, else None."""
-        rest = iter(tokens)
+    def read(self, line, start, line_no):
+        """Read line from index start on. The SuperMatrix once ']' closes the component, else None."""
+        m = _ROW.fullmatch(line, start)
+        if m:
+            row, cuts = [], []
+            try:
+                for segment in m["body"].split("|"):
+                    if row:
+                        cuts.append(len(row))
+                    row += map(self.scalars.__getitem__, segment.split())
+            except ValueError:
+                pass  # an invalid scalar such as '1/0': the token loop below reports it
+            else:
+                self.row, self.cuts = row, cuts
+                if m["close"]:
+                    return self.close(line_no, m.start("close") + 1)
+                self.end_row(line_no, len(line) + 1)
+                return None
+        rest = _TOKEN.finditer(line, start)
         for m in rest:
             token, col = m.group(), m.start() + 1
             if m.lastgroup:
                 try:
-                    self.row.append(parse_scalar(token))
+                    self.row.append(self.scalars[token])
                 except ValueError as e:
                     raise ParseError(str(e), line_no, col) from None
             elif token == "|":
@@ -156,27 +159,12 @@ def parse(text):
     components, reader, pending_sep, scalars = [], None, None, _Scalars()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        m = _ROW_LINE.fullmatch(line)
-        # Inside a component a row line must not open one; outside it must, where
-        # a component may begin. Other lines, and lines with an invalid scalar
-        # such as '1/0', take the token path, which reports every error.
-        if m and (not m["open"] if reader else m["open"] and (pending_sep or not components)):
-            entries = _row(m["body"], scalars)
-            if entries is not None:
-                if reader is None:
-                    reader, pending_sep = _Component(line_no, m.start("open") + 1), None
-                reader.row, reader.cuts = entries
-                if m["close"]:
-                    components.append(reader.close(line_no, m.start("close") + 1))
-                    reader = None
-                else:
-                    reader.end_row(line_no, len(line) + 1)
-                continue
-        tokens = list(_TOKEN.finditer(line))
-        if not tokens:
+        text_on_line = line.strip(_BLANKS)
+        if not text_on_line:
             continue
-        first, col = tokens[0].group(), tokens[0].start() + 1
-        if len(tokens) == 1 and first in _SEPARATORS:
+        start = len(line) - len(line.lstrip(_BLANKS))  # the index of the first non-blank
+        first, col = text_on_line[0], start + 1
+        if text_on_line in _SEPARATORS:
             if reader is not None:
                 raise ParseError("union separator inside a component", line_no, col)
             if not components:
@@ -187,18 +175,18 @@ def parse(text):
             continue
         if reader is None:
             if first in _SEPARATORS:
-                raise ParseError(f"unexpected text after {first!r}", line_no, tokens[1].start() + 1)
+                after = line[col:].lstrip(_BLANKS)
+                raise ParseError(f"unexpected text after {first!r}", line_no, len(line) - len(after) + 1)
             if first != "[":
                 raise ParseError("expected '[' to open a component", line_no, col)
             if components and not pending_sep:
                 raise ParseError("expected 'U' between components", line_no, col)
-            pending_sep = None
-            reader = _Component(line_no, col)
-            del tokens[0]
-        elif len(tokens) == 1 and _RULE.fullmatch(first):
+            reader, pending_sep = _Component(line_no, col, scalars), None
+            start += 1
+        elif _RULE.fullmatch(text_on_line):
             reader.add_row_cut(line_no, col)
             continue
-        result = reader.read(line, tokens, line_no)
+        result = reader.read(line, start, line_no)
         if result is not None:
             components.append(result)
             reader = None

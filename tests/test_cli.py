@@ -36,11 +36,17 @@ def write_big(tmp_path):
     return write_smx(tmp_path, "big.smx", smx.make_union([smx.make_super(rows, [40], [60])]))
 
 
-def child(args, **kwargs):
-    """python -m smx.cli args in a fresh process, stdout block-buffered as when run from a shell."""
+def child(args, closed_stdout=False, **kwargs):
+    """python -m smx.cli args in a fresh process, stdout block-buffered as when run from a shell.
+
+    closed_stdout starts it with fd 1 closed, as the shell's '>&-' does.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
-    return subprocess.run([sys.executable, "-m", "smx.cli", *args], env=env, check=False, **kwargs)
+    argv = [sys.executable, "-m", "smx.cli", *args]
+    if closed_stdout:
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    return subprocess.run(argv, env=env, check=False, **kwargs)
 
 
 class _Failing(io.StringIO):
@@ -309,6 +315,39 @@ class TestStdoutFailures:
             with open("/dev/full", "w") as full:
                 done = child(args, stdout=subprocess.PIPE, stderr=full)
             assert (done.returncode, done.stdout.decode()) == (code, out.getvalue())
+
+
+class TestClosedStdout:
+    """Started with fd 1 closed, the process has sys.stdout None: a stdout result is one line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["transpose", "m.smx"],
+            ["scale", "2", "m.smx"],
+            ["mul", "m.smx", "m.smx"],
+            ["check", "u.smx"],
+            ["classify", "m.smx", "--json"],
+            ["eq", "m.smx", "u.smx", "--mode", "value"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_stdout_result_is_one_line(self, tmp_path, args):
+        write_smx(tmp_path, "m.smx", fx.SYM_4X4)
+        write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)
+        args = [str(tmp_path / a) if a.endswith(".smx") else a for a in args]
+        done = child(args, closed_stdout=True, stderr=subprocess.PIPE)
+        assert done.returncode == 1
+        assert done.stderr.count(b"\n") == 1 and b"Traceback" not in done.stderr
+        assert done.stderr == f"stdout: {os.strerror(errno.EBADF)}\n".encode()
+
+    def test_output_file_is_written(self, tmp_path):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        _, expected, _ = invoke(["transpose", f])
+        out = tmp_path / "out.smx"
+        done = child(["transpose", f, "-o", str(out)], closed_stdout=True, stderr=subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert out.read_bytes() == expected.encode()
 
 
 class TestFlushBeforeExit:

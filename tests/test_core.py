@@ -233,6 +233,8 @@ class TestStrips:
         lambda: make_super([[1]], None),
         lambda: make_union(None),
         lambda: DenseMatrix(1, 1, None),
+        lambda: SuperMatrix(DenseMatrix(1, 1, [1]), None, None),
+        lambda: SuperMatrix([[1]], Partition(1), Partition(1)),
     ],
     ids=[
         "float-entry",
@@ -246,6 +248,8 @@ class TestStrips:
         "none-partition",
         "none-components",
         "none-entries",
+        "none-super-partitions",
+        "list-super-data",
     ],
 )
 def test_wrong_types_raise_invalid_argument(call):
@@ -300,6 +304,9 @@ _EDGE_CALLS = {
     "partition": lambda x: make_super([[1, 2]], (), x),
     "components": make_union,
     "entries": lambda x: DenseMatrix(1, 1, x),
+    "super-data": lambda x: SuperMatrix(x, Partition(1), Partition(1)),
+    "super-row-partition": lambda x: SuperMatrix(DenseMatrix(1, 1, [1]), x, Partition(1)),
+    "super-column-partition": lambda x: SuperMatrix(DenseMatrix(1, 1, [1]), Partition(1), x),
 }
 
 

@@ -66,6 +66,14 @@ class TestParse:
         u = parse("[ -3 7/2 ]")
         assert flatten(u.components[0]).to_rows() == [[-3, Fraction(7, 2)]]
 
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [("[\n1 2\n  ]", "[ 1 2 ]\n"), ("  [ 1\n  --\n2 ]", "[ 1\n  --\n  2 ]\n")],
+        ids=["brackets-on-their-own-lines", "indented-open"],
+    )
+    def test_bracket_and_rule_placement(self, text, canonical):
+        assert format(parse(text)) == canonical
+
     @pytest.mark.parametrize("rule", ["--", "+-+-", "\t--+"])
     def test_single_row_cut(self, rule):
         u = parse(f"[ 5\n{rule}\n7 ]")
@@ -89,6 +97,7 @@ PARSE_ERRORS = [
     ("[ 1\n--\n--\n2 ]", ParseError, 3, 1, "duplicate row cut"),
     ("[ 1\n--\n]", ParseError, 3, 1, "row cut after the last row"),
     ("[ ]", ParseError, 1, 3, "component has no rows"),
+    ("[\n]\n", ParseError, 2, 1, "component has no rows"),
     ("[ 1 ] x", ParseError, 1, 7, "unexpected text after ']'"),
     ("[ 1 ]\tx", ParseError, 1, 7, "unexpected text after ']'"),
     ("[ 1 2 ] 3", ParseError, 1, 9, "unexpected text after ']'"),
@@ -102,6 +111,7 @@ PARSE_ERRORS = [
     ("\x0c\n[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
     ("[1]\nU\xa0\n[2]", ParseError, 2, 2, "unexpected text after 'U'"),
     ("[1]\nU x\n[2]", ParseError, 2, 3, "unexpected text after 'U'"),
+    ("[1]\n\tU x\n[2]", ParseError, 2, 4, "unexpected text after 'U'"),
     ("[1]\n∪\t]\n[2]", ParseError, 2, 3, "unexpected text after '∪'"),
     ("U [1]", ParseError, 1, 3, "unexpected text after 'U'"),
     ("[ 1\nU x\n2 ]", ParseError, 2, 1, "unexpected character 'U'"),
@@ -119,6 +129,7 @@ PARSE_ERRORS = [
     ("U\n[1]", ParseError, 1, 1, "union separator before the first component"),
     ("[1]\nU\nU\n[2]", ParseError, 3, 1, "consecutive union separators"),
     ("[1]\n[2]", ParseError, 2, 1, "expected 'U' between components"),
+    ("[1]\n[ 2 3 ]", ParseError, 2, 1, "expected 'U' between components"),
     ("[ 1\nU\n2 ]", ParseError, 2, 1, "union separator inside a component"),
 ]
 
