@@ -54,7 +54,7 @@ def _entrywise(op, a, b):
             f"partition mismatch: column cuts {list(a.col_cuts)} vs {list(b.col_cuts)}"
         )
     entries = tuple(map(op, a.data.entries, b.data.entries))
-    return SuperMatrix(DenseMatrix(a.rows, a.cols, entries), a.row_partition, a.col_partition)
+    return SuperMatrix(DenseMatrix._trusted(a.rows, a.cols, entries), a.row_partition, a.col_partition)
 
 
 def add(a, b):
@@ -68,12 +68,12 @@ def sub(a, b):
 def scale(k, a):
     k = as_rational(k)
     entries = tuple(k * x for x in a.data.entries)
-    return SuperMatrix(DenseMatrix(a.rows, a.cols, entries), a.row_partition, a.col_partition)
+    return SuperMatrix(DenseMatrix._trusted(a.rows, a.cols, entries), a.row_partition, a.col_partition)
 
 
 def transpose(a):
     entries = tuple(chain.from_iterable(_columns(a.data)))
-    return SuperMatrix(DenseMatrix(a.cols, a.rows, entries), a.col_partition, a.row_partition)
+    return SuperMatrix(DenseMatrix._trusted(a.cols, a.rows, entries), a.col_partition, a.row_partition)
 
 
 def _over_lcm(xs):
@@ -88,7 +88,7 @@ def _dense_mul(a, b):
     rows = [_over_lcm(row) for row in _rows(a)]
     cols = [_over_lcm(col) for col in _columns(b)]
     out = tuple(Fraction(sum(map(operator.mul, r, c)), p * q) for r, p in rows for c, q in cols)
-    return DenseMatrix(a.rows, b.cols, out)
+    return DenseMatrix._trusted(a.rows, b.cols, out)
 
 
 def super_mul(a, b):
@@ -124,4 +124,4 @@ def gram(a, side="right"):
         for j in range(i, n):
             c, q = scaled[j]
             out[i * n + j] = out[j * n + i] = Fraction(sum(map(operator.mul, r, c)), p * q)
-    return SuperMatrix(DenseMatrix(n, n, out), partition, partition)
+    return SuperMatrix(DenseMatrix._trusted(n, n, tuple(out)), partition, partition)

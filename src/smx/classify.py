@@ -20,6 +20,7 @@ from itertools import combinations
 
 from . import algebra
 from .core import Record
+from .union import _expect_unions
 
 SIMPLE = "simple"
 ROW_SUPERVECTOR = "row_supervector"
@@ -77,6 +78,7 @@ def is_symmetric_super(s):
 
 
 def symmetry_class(u):
+    _expect_unions(u)
     flags = [is_symmetric_super(c) for c in u.components]
     if all(flags):
         return SYMMETRIC
@@ -86,6 +88,7 @@ def symmetry_class(u):
 
 
 def union_shape(u):
+    _expect_unions(u)
     comps = u.components
     any_cut = any(c.row_cuts or c.col_cuts for c in comps)
     # Vector families: every cut lies along a single axis across the union.
@@ -117,6 +120,7 @@ def union_shape(u):
 
 def improper_pair(u):
     """First (i, j), 1-based, with identical components; None if proper."""
+    _expect_unions(u)
     if u.arity == 1 or all(x == 0 for c in u.components for x in c.data.entries):
         return None
     for (i, a), (j, b) in combinations(enumerate(u.components, start=1), 2):
@@ -125,7 +129,7 @@ def improper_pair(u):
     return None
 
 
-def is_proper(u):
+def is_proper(u):  # improper_pair checks u
     return improper_pair(u) is None
 
 
@@ -135,10 +139,12 @@ def _mixes_simple(shapes):
 
 def is_semi_super(u):
     """True when the union mixes simple and partitioned components."""
+    _expect_unions(u)
     return _mixes_simple([shape_class(c) for c in u.components])
 
 
 def union_class(u):
+    _expect_unions(u)
     shapes = tuple(shape_class(c) for c in u.components)
     return ClassReport(
         arity=u.arity,

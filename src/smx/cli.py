@@ -16,9 +16,9 @@ teardown: freeing every module and object at exit measured 10-12 ms per
 process (Python 3.11, 2-core VM), and nothing here needs it, since an -o file
 is closed before it is renamed into place and no atexit handler is
 registered. An uncaught exception is a bug and still ends the normal way,
-with its traceback. A result that cannot be written to stdout (a closed pipe,
-a full disk, a closed fd 1) is one line on stderr and exit 1; a failing
-stderr is ignored, as nothing is left to report it on.
+with its traceback. A result or help text that cannot be written to stdout
+(a closed pipe, a full disk, a closed fd 1) is one line on stderr and exit 1;
+a failing stderr is ignored, as nothing is left to report it on.
 
 Exit codes: 0 success, 1 unreadable or unparsable input (and usage errors,
 and stdout that cannot be written), 2 incompatible operands, 3 check found an
@@ -83,6 +83,9 @@ def _write(out, text):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _Failure(FAILED_READ, f"usage error: {message}")
+
+    def print_help(self, file=None):  # as a result: to run's stdout, sys.stdout while run parses
+        _write(sys.stdout if file is None else file, self.format_help())
 
 
 def _load(path):

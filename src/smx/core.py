@@ -130,11 +130,19 @@ class Record:
         cls.__match_args__ = cls.__slots__
         cls._get_values = operator.attrgetter(*cls.__slots__)  # a single field is read bare
 
-    def _init(self, *values):
+    def _init(self, *values, check=True):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
-        self.__post_init__()
+        if check:
+            self.__post_init__()
         object.__setattr__(self, "_values", self._get_values(self))
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Only for values the library made in the form __post_init__ leaves them: stored unchecked."""
+        self = object.__new__(cls)
+        self._init(*values, check=False)
+        return self
 
     def __post_init__(self):
         pass

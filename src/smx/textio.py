@@ -15,11 +15,11 @@ separates components; text after it is an error at that text's column:
 
 parse decides what each line is: blank, a separator, a row cut, or the
 opening '[' of a component. The component reader takes the rest of the line.
-It first tries to read it whole, as scalars, blanks, '|' and an optional
-closing ']', with one regular expression and one Fraction per distinct token
-text in the input. Any other text, and a row with an invalid scalar, it reads
-token by token, reporting every error; so an error's type, line, column and
-message do not depend on which way the line was read.
+If its only blanks are spaces and tabs, it splits it on them into scalars,
+each converted once per parse, '|' cuts between two of them and a last ']'.
+Any other text ('1|2', '2]', ';', another blank, a stray or doubled '|', an
+invalid scalar) it reads token by token, reporting every error; so an error's
+type, line, column and message do not depend on which way the line was read.
 
 Parsing accepts LF or CRLF line ends, any run of spaces and tabs between
 tokens (no other blank) and fractions not in lowest terms ('2/4' reads as
@@ -30,8 +30,9 @@ parse(format(u)) reproduces u exactly and format is idempotent.
 """
 
 import re
+from itertools import chain
 
-from .core import SuperMatrix, _BLANKS, _SCALAR, format_scalar, make_super, parse_scalar
+from .core import _BLANKS, _SCALAR, DenseMatrix, SuperMatrix, _rows, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
@@ -41,14 +42,6 @@ _SEPARATORS = ("U", "∪")
 # tokens are skipped. '+' stays in the run so that '1+2' is reported whole,
 # as an invalid rational.
 _TOKEN = re.compile(rf"(?P<scalar>[-+/0-9]+)|[^{_BLANKS}]")
-# A whole row: scalars separated by blanks or '|', and an optional closing ']'.
-# A scalar never runs into another scalar character, so the row splits into
-# exactly the scalars _TOKEN would find.
-_B = f"[{_BLANKS}]"
-_NUMBER = rf"(?:{_SCALAR.pattern})(?![-+/0-9])"
-_ROW = re.compile(
-    rf"{_B}*(?P<body>{_NUMBER}(?:(?:{_B}*\|{_B}*|{_B}+){_NUMBER})*)(?:{_B}*(?P<close>\]))?{_B}*"
-)
 
 
 class _Scalars(dict):
@@ -100,27 +93,38 @@ class _Component:
             raise ParseError("component has no rows", line_no, col)
         if self.row_cuts and self.row_cuts[-1] == len(self.rows):
             raise ParseError("row cut after the last row", line_no, col)
-        return make_super(self.rows, self.row_cuts, self.col_cuts)
+        data = DenseMatrix._trusted(len(self.rows), len(self.rows[0]), tuple(chain.from_iterable(self.rows)))
+        return make_super(data, self.row_cuts, self.col_cuts)
+
+    def split(self, text):
+        """Read text as one row if it splits on spaces and tabs into scalars, '|' between two
+        of them and a last ']'; whether ']' closed it. None, reading nothing, for other text."""
+        tokens = text.split()
+        if len(text) != sum(map(len, tokens)) + text.count(" ") + text.count("\t"):
+            return None  # a blank other than a space or a tab
+        closed = tokens[-1:] == ["]"]
+        if closed:
+            tokens.pop()
+        cuts = []
+        for _ in range(tokens.count("|")):
+            i = tokens.index("|")
+            del tokens[i]
+            if not 0 < i < len(tokens) or cuts[-1:] == [i]:
+                return None  # a leading, trailing or doubled '|'
+            cuts.append(i)
+        try:
+            self.row = list(map(self.scalars.__getitem__, tokens))
+        except ValueError:
+            return None  # an invalid scalar, or a token holding any other character
+        self.cuts = cuts
+        return closed
 
     def read(self, line, start, line_no):
         """Read line from index start on. The SuperMatrix once ']' closes the component, else None."""
-        m = _ROW.fullmatch(line, start)
-        if m:
-            row, cuts = [], []
-            try:
-                for segment in m["body"].split("|"):
-                    if row:
-                        cuts.append(len(row))
-                    row += map(self.scalars.__getitem__, segment.split())
-            except ValueError:
-                pass  # an invalid scalar such as '1/0': the token loop below reports it
-            else:
-                self.row, self.cuts = row, cuts
-                if m["close"]:
-                    return self.close(line_no, m.start("close") + 1)
-                self.end_row(line_no, len(line) + 1)
-                return None
-        rest = _TOKEN.finditer(line, start)
+        closed = self.split(line[start:])
+        if closed:
+            return self.close(line_no, len(line.rstrip(_BLANKS)))
+        rest = _TOKEN.finditer(line, start if closed is None else len(line))  # a split row leaves no tokens
         for m in rest:
             token, col = m.group(), m.start() + 1
             if m.lastgroup:
@@ -200,21 +204,20 @@ def parse(text):
 
 
 def _format_component(s):
-    cells = [[format_scalar(x) for x in row] for row in s.data.to_rows()]
-    widths = [max(len(cells[r][c]) for r in range(s.rows)) for c in range(s.cols)]
+    try:
+        cells = [list(map(str, row)) for row in _rows(s.data)]
+    except ValueError:  # an entry beyond the int/str digit limit
+        cells = [list(map(format_scalar, row)) for row in _rows(s.data)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     groups = list(s.col_partition.blocks())
     body = []
-    for r, row in enumerate(cells):
-        segs = [" ".join(row[c].rjust(widths[c]) for c in range(c0, c1)) for c0, c1 in groups]
-        body.append(" | ".join(segs))
-        if r + 1 in s.row_cuts:
+    for r, row in enumerate(cells, start=1):
+        row = list(map(str.rjust, row, widths))
+        body.append(" | ".join([" ".join(row[c0:c1]) for c0, c1 in groups]))
+        if r in s.row_cuts:
             rule = "-+-".join("-" * (sum(widths[c0:c1]) + (c1 - c0 - 1)) for c0, c1 in groups)
-            if rule.count("-") < 2:
-                rule = "--"
-            body.append(rule)
-    lines = [("[ " if i == 0 else "  ") + ln for i, ln in enumerate(body)]
-    lines[-1] += " ]"
-    return "\n".join(lines)
+            body.append(rule.ljust(2, "-"))  # a rule line has at least two dashes
+    return "[ " + "\n  ".join(body) + " ]"
 
 
 def format(u):

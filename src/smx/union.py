@@ -37,6 +37,13 @@ def make_union(components):
     return SuperNMatrix(components)
 
 
+def _expect_unions(*unions):
+    """The check at the union edge: InvalidArgument for any argument that is not a SuperNMatrix."""
+    for u in unions:
+        if not isinstance(u, SuperNMatrix):
+            raise InvalidArgument(f"expected a SuperNMatrix, got {type(u).__name__}")
+
+
 def _lift(op, u):
     """The union of op applied to each component."""
     return make_union(map(op, u.components))
@@ -55,37 +62,46 @@ def _lift_pairs(op, u, v, opname):
 
 
 def union_add(u, v):
+    _expect_unions(u, v)
     return make_union(_lift_pairs(algebra.add, u, v, "add"))
 
 
 def union_sub(u, v):
+    _expect_unions(u, v)
     return make_union(_lift_pairs(algebra.sub, u, v, "subtract"))
 
 
 def union_scale(k, u):
+    _expect_unions(u)
     return _lift(lambda c: algebra.scale(k, c), u)
 
 
 def union_transpose(u):
+    _expect_unions(u)
     return _lift(algebra.transpose, u)
 
 
 def union_mul(u, v):
+    _expect_unions(u, v)
     return make_union(_lift_pairs(lambda a, b: algebra.super_mul(a, b)[0], u, v, "multiply"))
 
 
 def union_gram(u, side="right"):
+    _expect_unions(u)
     return _lift(lambda c: algebra.gram(c, side), u)
 
 
 def union_flatten(u):
     """Forget every partition; components become simple."""
+    _expect_unions(u)
     return _lift(lambda c: make_super(c.data), u)
 
 
 def union_value_eq(u, v):
+    _expect_unions(u, v)
     return u.arity == v.arity and all(_lift_pairs(algebra.value_eq, u, v, "compare"))
 
 
 def union_strict_eq(u, v):
+    _expect_unions(u, v)
     return u.arity == v.arity and all(_lift_pairs(algebra.strict_eq, u, v, "compare"))

@@ -82,3 +82,67 @@ def union_pairs_same_layout(draw, max_components=3):
     arity = draw(st.integers(1, max_components))
     pairs = [draw(same_layout(count=2, max_rows=4, max_cols=4)) for _ in range(arity)]
     return make_union(p[0] for p in pairs), make_union(p[1] for p in pairs)
+
+
+# --- .smx text written independently of smx.format, in non-canonical layouts -----------
+
+_BLANKS = st.text(" \t", max_size=3)
+_GAPS = st.text(" \t", min_size=1, max_size=3)
+_NEWLINES = st.sampled_from(["\n", "\r\n"])
+
+
+def _scalar_text(draw, x):
+    """x as '-0', 'n', 'n/1' or n/d times 1, 2 or 3 over d times the same."""
+    if x == 0 and draw(st.booleans()):
+        return "-0"
+    k = draw(st.sampled_from([1, 1, 2, 3]))
+    if x.denominator == 1 and k == 1 and draw(st.booleans()):
+        return str(x.numerator)
+    return f"{x.numerator * k}/{x.denominator * k}"
+
+
+def _line_end(draw):
+    """A newline, perhaps with blank lines after it, and the next line's indent."""
+    lines = [draw(_BLANKS) + draw(_NEWLINES) for _ in range(draw(st.integers(1, 2)))]
+    return "".join(lines) + draw(_BLANKS)
+
+
+def _rule(draw):
+    """A row cut line: '-' and '+' in any order, with at least two dashes."""
+    plus_or_dash = st.text("+-", max_size=3)
+    return draw(plus_or_dash) + "-" + draw(plus_or_dash) + "-" + draw(plus_or_dash)
+
+
+def _component_text(draw, s):
+    entries, cols = s.data.entries, s.cols
+    text = "[" + draw(st.sampled_from(["", " ", "\t  "]))
+    if draw(st.booleans()):
+        text += _line_end(draw)  # the first row on its own line
+    for r in range(s.rows):
+        if r in s.row_cuts:
+            text += draw(st.sampled_from(["", ";"])) + _line_end(draw) + _rule(draw) + _line_end(draw)
+        elif r and draw(st.booleans()):
+            text += draw(st.sampled_from(["", ";"])) + _line_end(draw)
+        elif r:
+            text += ";" + draw(_BLANKS)  # the next row on the same line
+        for c in range(cols):
+            if c in s.col_cuts:
+                text += draw(_BLANKS) + "|" + draw(_BLANKS)  # '1|2' as well as '1 | 2'
+            elif c:
+                text += draw(_GAPS)
+            text += _scalar_text(draw, entries[r * cols + c])
+    return text + draw(st.sampled_from(["", " ", "\t ;", " ; ", "\n", "\r\n  ", " ;\n"])) + "]"
+
+
+@st.composite
+def union_texts(draw, max_components=4, max_rows=5, max_cols=5):
+    """(union, .smx text of it): tabs and runs of blanks, ';' and CRLF row ends, '2/4' and
+    '-0', '|' with or without blanks, ']' attached or on its own line, '+' anywhere in a
+    rule line, blank lines, and 'U' or '∪' separators."""
+    u = draw(unions(max_components=max_components, max_rows=max_rows, max_cols=max_cols))
+    text = draw(_BLANKS)
+    for k, s in enumerate(u.components):
+        if k:
+            text += _line_end(draw) + draw(st.sampled_from(["U", "∪"])) + _line_end(draw)
+        text += _component_text(draw, s)
+    return u, text + draw(st.sampled_from(["", "\n", "\r\n", " \t\n\n"]))

@@ -129,6 +129,13 @@ def test_structural_invariants_hold(u):
     assert smx.format(parse(text)) == text
 
 
+@given(sts.union_texts())
+@settings(max_examples=500)
+def test_any_valid_layout_reads_back_its_union(case):
+    u, text = case
+    assert union_strict_eq(parse(text), u)
+
+
 def test_mixed_union_grams_left_and_right():
     left = union_gram(fx.MIXED_GRAM_IN, "left")
     right = union_gram(fx.MIXED_GRAM_IN, "right")

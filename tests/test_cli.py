@@ -296,7 +296,12 @@ class TestStdoutFailures:
 
     @pytest.mark.parametrize(
         "args",
-        [["transpose", "big.smx"], ["check", "big.smx", "--json"], ["eq", "big.smx", "big.smx", "--mode", "value"]],
+        [
+            ["transpose", "big.smx"],
+            ["check", "big.smx", "--json"],
+            ["eq", "big.smx", "big.smx", "--mode", "value"],
+            ["-h"],
+        ],
         ids=lambda args: args[0],
     )
     def test_failing_stream_in_process(self, tmp_path, args):
@@ -329,6 +334,8 @@ class TestClosedStdout:
             ["check", "u.smx"],
             ["classify", "m.smx", "--json"],
             ["eq", "m.smx", "u.smx", "--mode", "value"],
+            ["-h"],
+            ["gram", "--help"],
         ],
         ids=lambda args: args[0],
     )

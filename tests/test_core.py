@@ -23,11 +23,30 @@ from smx import (
     grid_shape,
     make_partition,
     make_super,
+    gram,
+    improper_pair,
+    is_proper,
+    is_semi_super,
     make_union,
+    parse,
     parse_scalar,
     scale,
     strict_eq,
     strips,
+    super_mul,
+    symmetry_class,
+    transpose,
+    union_add,
+    union_class,
+    union_flatten,
+    union_gram,
+    union_mul,
+    union_scale,
+    union_shape,
+    union_strict_eq,
+    union_sub,
+    union_transpose,
+    union_value_eq,
 )
 from smx.errors import (
     BlockIndexOutOfRange,
@@ -292,7 +311,27 @@ _JUNK = st.one_of(
     st.binary(max_size=4),
     st.lists(st.integers(-2, 4), max_size=3),
     st.builds(object),
+    st.sampled_from([make_super([[1, 2]], (), (1,)), DenseMatrix(1, 1, [1]), Partition(2)]),  # not a union
 )
+_U = make_union([make_super([[1, 2]], (), (1,))])
+# Every public function that takes a union, with the junk in place of one.
+_UNION_CALLS = {
+    "union_add": lambda x: union_add(x, _U),
+    "union_sub": lambda x: union_sub(_U, x),
+    "union_mul": lambda x: union_mul(x, _U),
+    "union_scale": lambda x: union_scale(2, x),
+    "union_transpose": union_transpose,
+    "union_gram": union_gram,
+    "union_flatten": union_flatten,
+    "union_value_eq": lambda x: union_value_eq(_U, x),
+    "union_strict_eq": lambda x: union_strict_eq(x, _U),
+    "union_class": union_class,
+    "union_shape": union_shape,
+    "symmetry_class": symmetry_class,
+    "improper_pair": improper_pair,
+    "is_proper": is_proper,
+    "is_semi_super": is_semi_super,
+}
 _EDGE_CALLS = {
     "entry": lambda x: make_super([[1, x]]),
     "scale-factor": lambda x: scale(x, make_super([[1, 2]])),
@@ -307,6 +346,7 @@ _EDGE_CALLS = {
     "super-data": lambda x: SuperMatrix(x, Partition(1), Partition(1)),
     "super-row-partition": lambda x: SuperMatrix(DenseMatrix(1, 1, [1]), x, Partition(1)),
     "super-column-partition": lambda x: SuperMatrix(DenseMatrix(1, 1, [1]), Partition(1), x),
+    **_UNION_CALLS,
 }
 
 
@@ -318,6 +358,12 @@ def test_junk_at_the_public_edge_succeeds_or_raises_smx_error(call, junk):
         call(junk)
     except SmxError:
         pass
+
+
+@pytest.mark.parametrize("call", _UNION_CALLS.values(), ids=_UNION_CALLS)
+def test_a_supermatrix_is_not_a_union(call):
+    with pytest.raises(InvalidArgument, match="^expected a SuperNMatrix, got SuperMatrix$"):
+        call(make_super([[1, 2]]))
 
 
 _P = Partition(3, (1,))
@@ -399,3 +445,24 @@ def test_records_compare_by_class_and_fields():
             assert (rows, cols, cuts) == (1, 2, (1,))
         case _:
             pytest.fail("positional patterns follow the declared fields")
+
+
+def test_library_results_equal_publicly_built_records():
+    a = make_super([[1, "1/2"], [3, -4]], [1], [1])
+    b = make_super([["2/3", 0], [5, 7]], [1], [1])
+    results = [
+        DenseMatrix._trusted(1, 2, (Fraction(1, 2), Fraction(3))),
+        parse("[ 1/2 3 ]").components[0].data,
+        scale(3, a).data,
+        transpose(a).data,
+        super_mul(a, b)[0].data,
+        gram(a, "left").data,
+        union_add(make_union([a]), make_union([b])).components[0].data,
+    ]
+    for m in results:
+        public = DenseMatrix(m.rows, m.cols, list(m.entries))
+        assert m == public and public == m and hash(m) == hash(public) and repr(m) == repr(public)
+        assert type(m.entries) is tuple and all(type(x) is Fraction for x in m.entries)
+        twin = pickle.loads(pickle.dumps(m))
+        assert twin == public and hash(twin) == hash(public)
+        assert pickle.dumps(m) == pickle.dumps(public)

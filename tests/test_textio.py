@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import fixtures as fx
 import strategies as sts
 from smx import flatten, format, make_super, make_union, parse, parse_scalar, union_strict_eq
+from smx.core import format_scalar
 from smx.errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 
 CANONICAL = "[ 3 0 | 1\n  2 1 | 1\n  ----+--\n  5 2 | 0 ]\nU\n[ 7/2 -1 ]\n"
@@ -68,8 +69,13 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text, canonical",
-        [("[\n1 2\n  ]", "[ 1 2 ]\n"), ("  [ 1\n  --\n2 ]", "[ 1\n  --\n  2 ]\n")],
-        ids=["brackets-on-their-own-lines", "indented-open"],
+        [
+            ("[\n1 2\n  ]", "[ 1 2 ]\n"),
+            ("  [ 1\n  --\n2 ]", "[ 1\n  --\n  2 ]\n"),
+            ("[ 1 2]", "[ 1 2 ]\n"),
+            ("[ 1 ; 2 ]", "[ 1\n  2 ]\n"),
+        ],
+        ids=["brackets-on-their-own-lines", "indented-open", "attached-close", "semicolon-then-close"],
     )
     def test_bracket_and_rule_placement(self, text, canonical):
         assert format(parse(text)) == canonical
@@ -86,6 +92,7 @@ PARSE_ERRORS = [
     ("   \n\n", EmptyInput, 1, 1, "empty input"),
     ("x", ParseError, 1, 1, "expected '[' to open a component"),
     ("[ 1 2\n3 ]", RaggedRows, 2, 3, "row 2 has 1 entries, previous rows have 2"),
+    ("[ 1 2\n3 ] \t", RaggedRows, 2, 3, "row 2 has 1 entries, previous rows have 2"),
     ("[ 1 | 2\n3 4 ]", InconsistentCuts, 2, 5, "row 2 cuts at [], previous rows at [1]"),
     ("[ 1 || 2 ]", ParseError, 1, 6, "duplicate column cut"),
     ("[ | 1 ]", ParseError, 1, 3, "column cut before the first entry of a row"),
@@ -101,6 +108,7 @@ PARSE_ERRORS = [
     ("[ 1 ] x", ParseError, 1, 7, "unexpected text after ']'"),
     ("[ 1 ]\tx", ParseError, 1, 7, "unexpected text after ']'"),
     ("[ 1 2 ] 3", ParseError, 1, 9, "unexpected text after ']'"),
+    ("[ 1 2] ]", ParseError, 1, 8, "unexpected text after ']'"),
     ("[ [ ]", ParseError, 1, 3, "unexpected '[' inside a component"),
     ("[ 1 @ ]", ParseError, 1, 5, "unexpected character '@'"),
     ("[\t1\t@ ]", ParseError, 1, 5, "unexpected character '@'"),
@@ -121,6 +129,7 @@ PARSE_ERRORS = [
     ("[ 1 ]\x0c", ParseError, 1, 6, "unexpected text after ']'"),
     ("[ \u0663 ]", ParseError, 1, 3, "unexpected character '\u0663'"),
     ("[ 1+2 ]", ParseError, 1, 3, "invalid rational '1+2'"),
+    ("[ +1 ]", ParseError, 1, 3, "invalid rational '+1'"),
     ("[ 1/0 ]", ParseError, 1, 3, "zero denominator in '1/0'"),
     ("[ 1/0 2 ]", ParseError, 1, 3, "zero denominator in '1/0'"),
     ("[ 1 -2-3 ]", ParseError, 1, 5, "invalid rational '-2-3'"),
@@ -207,6 +216,14 @@ class TestFormat:
         assert text == "[ -" + "9" * 5000 + "/1" + "0" * 4999 + " 1 ]\n"
         assert union_strict_eq(parse(text), make_union([s]))
 
+    def test_one_entry_beyond_the_digit_limit_among_small_ones(self):
+        entries = [[Fraction(7 * 10**4400 + 1, 3), -1, 0], [Fraction(22, 7), 5, -(10**4301)]]
+        s = make_super(entries, [1], [2])
+        text = format(s)
+        assert union_strict_eq(parse(text), make_union([s]))
+        cells = [c for c in text.replace("[", " ").replace("]", " ").split() if c.strip("-+|")]  # no rule, no cut
+        assert cells == [format_scalar(x) for row in entries for x in row]
+
     def test_wrong_type(self):
         with pytest.raises(TypeError):
             format([[1, 2]])
@@ -217,8 +234,8 @@ class TestFormat:
 
     @given(sts.unions())
     def test_whole_line_and_token_paths_agree(self, u):
-        # ' ;' ends a row in the token grammar but never matches a whole row
-        # line, so the second text reads every row through the token path.
+        # ' ;' ends a row in the token grammar but is never split as a row,
+        # so the second text reads every row through the token path.
         text = format(u)
         lines = []
         for line in text.split("\n"):
