@@ -139,7 +139,8 @@ class Record:
 
     @classmethod
     def _trusted(cls, *values):
-        """Only for values the library made in the form __post_init__ leaves them: stored unchecked."""
+        """Only the library calls this, on values it made itself in the form __post_init__ leaves
+        them. They are stored unchecked; the record compares, hashes and pickles as a public one."""
         self = object.__new__(cls)
         self._init(*values, check=False)
         return self
