@@ -86,18 +86,19 @@ def union_pairs_same_layout(draw, max_components=3):
 
 # --- .smx text written independently of smx.format, in non-canonical layouts -----------
 
-_BLANKS = st.text(" \t", max_size=3)
-_GAPS = st.text(" \t", min_size=1, max_size=3)
+_GAPS = st.sampled_from([" ", "\t", "  ", " \t", "\t ", "\t\t", "   ", " \t "])  # runs of spaces and tabs
+_BLANKS = st.sampled_from(["", " ", "\t", "  ", " \t", "\t\t "])
 _NEWLINES = st.sampled_from(["\n", "\r\n"])
 
 
 def _scalar_text(draw, x):
-    """x as '-0', 'n', 'n/1' or n/d times 1, 2 or 3 over d times the same."""
-    if x == 0 and draw(st.booleans()):
+    """Text of x: 'kn/kd' for k in 1..3, or for k = 0 '-0' for zero and 'n' for an integer."""
+    k = draw(st.sampled_from([0, 1, 2, 3]))
+    if k == 0 and x == 0:
         return "-0"
-    k = draw(st.sampled_from([1, 1, 2, 3]))
-    if x.denominator == 1 and k == 1 and draw(st.booleans()):
+    if k == 0 and x.denominator == 1:
         return str(x.numerator)
+    k = k or 1
     return f"{x.numerator * k}/{x.denominator * k}"
 
 
@@ -109,7 +110,7 @@ def _line_end(draw):
 
 def _rule(draw):
     """A row cut line: '-' and '+' in any order, with at least two dashes."""
-    plus_or_dash = st.text("+-", max_size=3)
+    plus_or_dash = st.sampled_from(["", "-", "+", "--", "-+", "+-", "++", "+-+"])
     return draw(plus_or_dash) + "-" + draw(plus_or_dash) + "-" + draw(plus_or_dash)
 
 
