@@ -32,7 +32,7 @@ parse(format(u)) reproduces u exactly and format is idempotent.
 import re
 from itertools import chain
 
-from .core import _BLANKS, _SCALAR, DenseMatrix, SuperMatrix, _rows, format_scalar, make_super, parse_scalar
+from .core import _BLANKS, DenseMatrix, SuperMatrix, _rows, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
