@@ -18,7 +18,7 @@ import operator
 from fractions import Fraction
 from itertools import chain
 
-from .core import DenseMatrix, Record, SuperMatrix, _columns, _rows, as_rational
+from .core import DenseMatrix, Record, SuperMatrix, _columns, _expect, _rows, as_rational
 from .errors import DimensionMismatch, InvalidValue, PartitionMismatch
 
 
@@ -33,16 +33,19 @@ class ProductWitness(Record):
 
 def value_eq(a, b):
     """Same shape and entries; partitions ignored."""
+    _expect(SuperMatrix, a, b)
     return a.data.rows == b.data.rows and a.data.cols == b.data.cols and a.data.entries == b.data.entries
 
 
 def strict_eq(a, b):
     """Same entries and the same partitions on both axes."""
+    _expect(SuperMatrix, a, b)
     return a.row_partition == b.row_partition and a.col_partition == b.col_partition and value_eq(a, b)
 
 
 def _entrywise(op, a, b):
     """op on matching entries of two supermatrices of identical shape and partitions."""
+    _expect(SuperMatrix, a, b)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(f"operand shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     if a.row_partition != b.row_partition:
@@ -67,11 +70,13 @@ def sub(a, b):
 
 def scale(k, a):
     k = as_rational(k)
+    _expect(SuperMatrix, a)
     entries = tuple(k * x for x in a.data.entries)
     return SuperMatrix(DenseMatrix._trusted(a.rows, a.cols, entries), a.row_partition, a.col_partition)
 
 
 def transpose(a):
+    _expect(SuperMatrix, a)
     entries = tuple(chain.from_iterable(_columns(a.data)))
     return SuperMatrix(DenseMatrix._trusted(a.cols, a.rows, entries), a.col_partition, a.row_partition)
 
@@ -93,6 +98,7 @@ def _dense_mul(a, b):
 
 def super_mul(a, b):
     """Unified block product: (result, witness)."""
+    _expect(SuperMatrix, a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     if a.col_partition != b.row_partition:
@@ -111,12 +117,13 @@ def gram(a, side="right"):
     of a, so only i <= j is computed and each entry is mirrored. The result
     carries a's row (right) or column (left) partition on both axes.
     """
+    if side not in ("right", "left"):
+        raise InvalidValue(f"side must be 'left' or 'right', got {side!r}")
+    _expect(SuperMatrix, a)
     if side == "right":
         lines, partition = _rows(a.data), a.row_partition
-    elif side == "left":
-        lines, partition = _columns(a.data), a.col_partition
     else:
-        raise InvalidValue(f"side must be 'left' or 'right', got {side!r}")
+        lines, partition = _columns(a.data), a.col_partition
     scaled = [_over_lcm(line) for line in lines]
     n = len(scaled)
     out = [None] * (n * n)

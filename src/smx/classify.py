@@ -19,8 +19,8 @@ a supermatrix.
 from itertools import combinations
 
 from . import algebra
-from .core import Record
-from .union import _expect_unions
+from .core import Record, SuperMatrix, _expect
+from .union import SuperNMatrix
 
 SIMPLE = "simple"
 ROW_SUPERVECTOR = "row_supervector"
@@ -56,6 +56,7 @@ class ClassReport(Record):
 
 
 def shape_class(s):
+    _expect(SuperMatrix, s)
     has_row = not s.row_partition.is_trivial
     has_col = not s.col_partition.is_trivial
     if not has_row and not has_col:
@@ -68,8 +69,7 @@ def shape_class(s):
 
 
 def is_symmetric_super(s):
-    if s.rows != s.cols:
-        return False
+    _expect(SuperMatrix, s)
     if s.row_partition != s.col_partition:
         return False
     return all(
@@ -78,7 +78,7 @@ def is_symmetric_super(s):
 
 
 def symmetry_class(u):
-    _expect_unions(u)
+    _expect(SuperNMatrix, u)
     flags = [is_symmetric_super(c) for c in u.components]
     if all(flags):
         return SYMMETRIC
@@ -88,7 +88,7 @@ def symmetry_class(u):
 
 
 def union_shape(u):
-    _expect_unions(u)
+    _expect(SuperNMatrix, u)
     comps = u.components
     any_cut = any(c.row_cuts or c.col_cuts for c in comps)
     # Vector families: every cut lies along a single axis across the union.
@@ -120,7 +120,7 @@ def union_shape(u):
 
 def improper_pair(u):
     """First (i, j), 1-based, with identical components; None if proper."""
-    _expect_unions(u)
+    _expect(SuperNMatrix, u)
     if u.arity == 1 or all(x == 0 for c in u.components for x in c.data.entries):
         return None
     for (i, a), (j, b) in combinations(enumerate(u.components, start=1), 2):
@@ -139,12 +139,12 @@ def _mixes_simple(shapes):
 
 def is_semi_super(u):
     """True when the union mixes simple and partitioned components."""
-    _expect_unions(u)
+    _expect(SuperNMatrix, u)
     return _mixes_simple([shape_class(c) for c in u.components])
 
 
 def union_class(u):
-    _expect_unions(u)
+    _expect(SuperNMatrix, u)
     shapes = tuple(shape_class(c) for c in u.components)
     return ClassReport(
         arity=u.arity,

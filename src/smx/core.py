@@ -59,10 +59,16 @@ def _str(n):
         return _str(high) + _str(low).zfill(half)
 
 
+def _expect(cls, *values):
+    """The check at the public edge: InvalidArgument for any value that is not a cls."""
+    for v in values:
+        if not isinstance(v, cls):
+            raise InvalidArgument(f"expected a {cls.__name__}, got {type(v).__name__}")
+
+
 def parse_scalar(text):
     """One rational like '-3' or '7/2'. Raises InvalidValue, a ValueError, on any other str."""
-    if not isinstance(text, str):
-        raise InvalidArgument(f"expected a str, got {type(text).__name__}")
+    _expect(str, text)
     m = _SCALAR.fullmatch(text.strip(_BLANKS))
     if m is None:
         raise InvalidValue(f"invalid rational {text!r}")
@@ -335,11 +341,15 @@ def make_super(data, row_partition=(), col_partition=()):
 
 def grid_shape(s):
     """(row blocks, column blocks) of the partition grid."""
+    _expect(SuperMatrix, s)
     return (s.row_partition.block_count, s.col_partition.block_count)
 
 
 def block(s, i, j):
     """Block (i, j) of the grid, 1-based, as a SuperMatrix with trivial partitions."""
+    _expect(SuperMatrix, s)
+    if type(i) is not int or type(j) is not int:  # bool too, as for a partition's cuts
+        raise InvalidArgument(f"block indices must be ints, got {type(i).__name__} and {type(j).__name__}")
     rb, cb = grid_shape(s)
     if not (1 <= i <= rb) or not (1 <= j <= cb):
         raise BlockIndexOutOfRange(f"block ({i}, {j}) outside {rb}x{cb} grid")
@@ -349,6 +359,7 @@ def block(s, i, j):
 
 def flatten(s):
     """Forget the partitions: the underlying DenseMatrix."""
+    _expect(SuperMatrix, s)
     return s.data
 
 
@@ -360,6 +371,7 @@ def strips(s, axis):
     """
     if axis not in ("row", "column"):
         raise InvalidValue(f"axis must be 'row' or 'column', got {axis!r}")
+    _expect(SuperMatrix, s)
     rows = _rows(s.data)
     if axis == "row":
         return [make_super(rows[r0:r1], (), s.col_cuts) for r0, r1 in s.row_partition.blocks()]

@@ -20,9 +20,7 @@ class PartitionError(SmxError):
 
 class CutOutOfRange(PartitionError):
     def __init__(self, cut, length):
-        super().__init__(
-            f"cut {cut} out of range [1, {length - 1}] for axis of length {length}"
-        )
+        super().__init__(f"cut {cut!r} out of range [1, {length - 1}] for axis of length {length}")
         self.cut = cut
         self.length = length
 

@@ -32,7 +32,7 @@ parse(format(u)) reproduces u exactly and format is idempotent.
 import re
 from itertools import chain
 
-from .core import _BLANKS, DenseMatrix, SuperMatrix, _rows, format_scalar, make_super, parse_scalar
+from .core import _BLANKS, DenseMatrix, SuperMatrix, _expect, _rows, format_scalar, make_super, parse_scalar
 from .errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
@@ -158,8 +158,7 @@ class _Component:
 
 def parse(text):
     """Parse .smx text into a SuperNMatrix."""
-    if not isinstance(text, str):
-        raise InvalidArgument(f"expected a str, got {type(text).__name__}")
+    _expect(str, text)
     components, reader, pending_sep, scalars = [], None, None, _Scalars()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw

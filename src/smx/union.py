@@ -7,7 +7,7 @@ of a union are decided in classify.
 """
 
 from . import algebra
-from .core import Record, SuperMatrix, _tuple, make_super
+from .core import Record, SuperMatrix, _expect, _tuple, make_super
 from .errors import ArityMismatch, DimensionMismatch, EmptyUnion, InvalidArgument, PartitionMismatch
 
 
@@ -37,71 +37,54 @@ def make_union(components):
     return SuperNMatrix(components)
 
 
-def _expect_unions(*unions):
-    """The check at the union edge: InvalidArgument for any argument that is not a SuperNMatrix."""
-    for u in unions:
-        if not isinstance(u, SuperNMatrix):
-            raise InvalidArgument(f"expected a SuperNMatrix, got {type(u).__name__}")
-
-
-def _lift(op, u):
-    """The union of op applied to each component."""
-    return make_union(map(op, u.components))
-
-
-def _lift_pairs(op, u, v, opname):
-    """Yield op over matched component pairs; errors name the 1-based component."""
-    if u.arity != v.arity:
-        raise ArityMismatch(f"cannot {opname} unions of arity {u.arity} and {v.arity}")
-    for k, (a, b) in enumerate(zip(u.components, v.components), start=1):
+def _lift(op, verb, *unions):
+    """The union of op over matched components; a mismatch names the 1-based component."""
+    _expect(SuperNMatrix, *unions)
+    if len({u.arity for u in unions}) > 1:
+        raise ArityMismatch(f"cannot {verb} unions of arity " + " and ".join(str(u.arity) for u in unions))
+    out = []
+    for k, components in enumerate(zip(*(u.components for u in unions)), start=1):
         try:
-            result = op(a, b)
+            out.append(op(*components))
         except (DimensionMismatch, PartitionMismatch) as e:
             raise type(e)(f"component {k}: {e}", component=k) from e
-        yield result
+    return make_union(out)
 
 
 def union_add(u, v):
-    _expect_unions(u, v)
-    return make_union(_lift_pairs(algebra.add, u, v, "add"))
+    return _lift(algebra.add, "add", u, v)
 
 
 def union_sub(u, v):
-    _expect_unions(u, v)
-    return make_union(_lift_pairs(algebra.sub, u, v, "subtract"))
+    return _lift(algebra.sub, "subtract", u, v)
 
 
 def union_scale(k, u):
-    _expect_unions(u)
-    return _lift(lambda c: algebra.scale(k, c), u)
+    return _lift(lambda c: algebra.scale(k, c), "scale", u)
 
 
 def union_transpose(u):
-    _expect_unions(u)
-    return _lift(algebra.transpose, u)
+    return _lift(algebra.transpose, "transpose", u)
 
 
 def union_mul(u, v):
-    _expect_unions(u, v)
-    return make_union(_lift_pairs(lambda a, b: algebra.super_mul(a, b)[0], u, v, "multiply"))
+    return _lift(lambda a, b: algebra.super_mul(a, b)[0], "multiply", u, v)
 
 
 def union_gram(u, side="right"):
-    _expect_unions(u)
-    return _lift(lambda c: algebra.gram(c, side), u)
+    return _lift(lambda c: algebra.gram(c, side), "gram", u)
 
 
 def union_flatten(u):
     """Forget every partition; components become simple."""
-    _expect_unions(u)
-    return _lift(lambda c: make_super(c.data), u)
+    return _lift(lambda c: make_super(c.data), "flatten", u)
 
 
 def union_value_eq(u, v):
-    _expect_unions(u, v)
-    return u.arity == v.arity and all(_lift_pairs(algebra.value_eq, u, v, "compare"))
+    _expect(SuperNMatrix, u, v)
+    return u.arity == v.arity and all(map(algebra.value_eq, u.components, v.components))
 
 
 def union_strict_eq(u, v):
-    _expect_unions(u, v)
-    return u.arity == v.arity and all(_lift_pairs(algebra.strict_eq, u, v, "compare"))
+    _expect(SuperNMatrix, u, v)
+    return u.arity == v.arity and all(map(algebra.strict_eq, u.components, v.components))

@@ -16,6 +16,7 @@ from smx import (
     ProductWitness,
     SuperMatrix,
     SuperNMatrix,
+    add,
     as_rational,
     block,
     flatten,
@@ -27,12 +28,15 @@ from smx import (
     improper_pair,
     is_proper,
     is_semi_super,
+    is_symmetric_super,
     make_union,
     parse,
     parse_scalar,
     scale,
+    shape_class,
     strict_eq,
     strips,
+    sub,
     super_mul,
     symmetry_class,
     transpose,
@@ -47,6 +51,7 @@ from smx import (
     union_sub,
     union_transpose,
     union_value_eq,
+    value_eq,
 )
 from smx.errors import (
     BlockIndexOutOfRange,
@@ -81,6 +86,11 @@ class TestPartition:
     def test_cut_out_of_range(self, cut):
         with pytest.raises(CutOutOfRange):
             make_partition(5, [cut])
+
+    @pytest.mark.parametrize("cut, shown", [("1", "'1'"), (7, "7")])
+    def test_cut_out_of_range_shows_the_cut_as_given(self, cut, shown):
+        with pytest.raises(CutOutOfRange, match=rf"^cut {shown} out of range \[1, 2\] for axis of length 3$"):
+            make_partition(3, [cut])
 
     def test_duplicate_cut(self):
         with pytest.raises(DuplicateCut):
@@ -186,6 +196,11 @@ class TestBlock:
     @pytest.mark.parametrize("ij", [(0, 1), (1, 0), (3, 1), (1, 3)])
     def test_out_of_grid(self, ij):
         with pytest.raises(BlockIndexOutOfRange):
+            block(fx.QUAD_6X6, *ij)
+
+    @pytest.mark.parametrize("ij", [(1.5, 1), ("1", 1), (1, None), (True, True)])
+    def test_non_int_index(self, ij):
+        with pytest.raises(InvalidArgument, match="^block indices must be ints, got "):
             block(fx.QUAD_6X6, *ij)
 
     def test_whole_matrix_when_trivial(self):
@@ -332,6 +347,24 @@ _UNION_CALLS = {
     "is_proper": is_proper,
     "is_semi_super": is_semi_super,
 }
+_V = make_super([[1, 2]], (), (1,))
+# Every public function that takes a supermatrix, with the junk in place of one.
+_SUPER_CALLS = {
+    "value_eq": lambda x: value_eq(x, _V),
+    "strict_eq": lambda x: strict_eq(_V, x),
+    "add": lambda x: add(x, _V),
+    "sub": lambda x: sub(_V, x),
+    "super_mul": lambda x: super_mul(_V, x),
+    "scale": lambda x: scale(2, x),
+    "transpose": transpose,
+    "gram": gram,
+    "grid_shape": grid_shape,
+    "block": lambda x: block(x, 1, 1),
+    "flatten": flatten,
+    "strips": lambda x: strips(x, "row"),
+    "shape_class": shape_class,
+    "is_symmetric_super": is_symmetric_super,
+}
 _EDGE_CALLS = {
     "entry": lambda x: make_super([[1, x]]),
     "scale-factor": lambda x: scale(x, make_super([[1, 2]])),
@@ -347,6 +380,7 @@ _EDGE_CALLS = {
     "super-row-partition": lambda x: SuperMatrix(DenseMatrix(1, 1, [1]), x, Partition(1)),
     "super-column-partition": lambda x: SuperMatrix(DenseMatrix(1, 1, [1]), Partition(1), x),
     **_UNION_CALLS,
+    **_SUPER_CALLS,
 }
 
 
@@ -364,6 +398,22 @@ def test_junk_at_the_public_edge_succeeds_or_raises_smx_error(call, junk):
 def test_a_supermatrix_is_not_a_union(call):
     with pytest.raises(InvalidArgument, match="^expected a SuperNMatrix, got SuperMatrix$"):
         call(make_super([[1, 2]]))
+
+
+@pytest.mark.parametrize("call", _SUPER_CALLS.values(), ids=_SUPER_CALLS)
+def test_a_union_is_not_a_supermatrix(call):
+    with pytest.raises(InvalidArgument, match="^expected a SuperMatrix, got SuperNMatrix$"):
+        call(_U)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: scale("q", _U), lambda: gram(_U, "up"), lambda: strips(_U, "diag")],
+    ids=["scale-factor", "gram-side", "strips-axis"],
+)
+def test_a_bad_value_is_reported_before_a_wrong_type(call):
+    with pytest.raises(InvalidValue):
+        call()
 
 
 _P = Partition(3, (1,))
