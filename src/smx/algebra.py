@@ -6,7 +6,9 @@ product is the unified rule: A*B is defined exactly when the flat shapes
 multiply and A's column partition equals B's row partition; the entries are
 the ordinary dense product, the result carries A's row partition and B's
 column partition, and the shared inner partition is reported in a witness
-rather than in the result.
+rather than in the result. The product puts each row of A and each column of B
+over its lcm and computes a whole row of integer dot products as one packed
+big-integer sum, one slot per column, wide enough that no slot overflows.
 
 The gram products a*a^T and a^T*a are symmetric by construction, so gram puts
 each row (or column) of a over its lcm once, computes only the entries on and
@@ -83,17 +85,43 @@ def transpose(a):
 
 def _over_lcm(xs):
     """(integer numerators over one common denominator, that denominator)."""
-    d = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*(q for _, q in ratios))
+    return [n * (d // q) for n, q in ratios], d
 
 
 def _dense_mul(a, b):
-    """Rows of a and columns of b over their own lcm denominators: each product
-    entry is one integer dot product and one Fraction, not k Fraction sums."""
+    """Rows of a and columns of b over their own lcm denominators, and each row of
+    the integer product computed as one big-integer sum (Kronecker substitution).
+
+    Row k of the scaled b is packed into P_k = sum_j c_kj << (s*j), so that
+    sum_k r_ik * P_k holds the m dot products of row i in slots of s = 8w bits.
+    Every |dot| <= t * max|r| * max|c| < 2^(s-1), t being a's column count, and a
+    bias of 2^(s-1) in every slot makes each slot non-negative, so no slot
+    borrows from the next and each is read back from the row's little-endian
+    bytes. Each entry is then one Fraction, not t Fraction sums.
+    """
     rows = [_over_lcm(row) for row in _rows(a)]
     cols = [_over_lcm(col) for col in _columns(b)]
-    out = tuple(Fraction(sum(map(operator.mul, r, c)), p * q) for r, p in rows for c, q in cols)
-    return DenseMatrix._trusted(a.rows, b.cols, out)
+    bits = (
+        max(max(map(abs, r)) for r, _ in rows).bit_length()
+        + max(max(map(abs, c)) for c, _ in cols).bit_length()
+        + a.cols.bit_length()
+    )
+    w = bits // 8 + 1  # bytes per slot, the least with 8w - 1 >= bits
+    shifts = range(0, 8 * w * b.cols, 8 * w)
+    packed = [sum(map(operator.lshift, line, shifts)) for line in zip(*(c for c, _ in cols))]
+    half = 1 << (8 * w - 1)
+    bias = sum(half << shift for shift in shifts)
+    size = w * b.cols
+    out = []
+    for r, p in rows:
+        slots = sum(map(operator.mul, r, packed), bias).to_bytes(size, "little")
+        out += [
+            Fraction(int.from_bytes(slots[k : k + w], "little") - half, p * q)
+            for k, (_, q) in zip(range(0, size, w), cols)
+        ]
+    return DenseMatrix._trusted(a.rows, b.cols, tuple(out))
 
 
 def super_mul(a, b):

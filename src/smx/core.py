@@ -111,7 +111,10 @@ def as_rational(x):
 
 
 def _tuple(items, what):
-    """tuple(items), a tuple passed as it is; InvalidArgument if items cannot be iterated."""
+    """tuple(items), a tuple passed as it is; InvalidArgument if items cannot be iterated,
+    or is a str or bytes, which would be read one character or byte at a time."""
+    if isinstance(items, (str, bytes, bytearray)):
+        raise InvalidArgument(f"{what} must not be a {type(items).__name__}")
     try:
         iterator = iter(items)
     except TypeError:

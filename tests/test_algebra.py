@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
@@ -191,6 +192,57 @@ class TestSuperMul:
         p, _ = super_mul(a, b)
         q, _ = super_mul(transpose(b), transpose(a))
         assert strict_eq(transpose(p), q)
+
+
+_BITS = st.integers(1, 300)
+_WIDE = st.builds(
+    Fraction,
+    _BITS.flatmap(lambda n: st.integers(-(2**n), 2**n)),
+    _BITS.flatmap(lambda n: st.integers(1, 2**n)),
+)
+
+
+@st.composite
+def _wide_mul_operands(draw):
+    """(a, b) as row lists: entries of up to about 300 bits, or small entries with
+    one wide one among them, and perhaps an all-zero row of a and column of b."""
+    n, t, m = (draw(st.integers(1, 6)) for _ in range(3))
+    entries = draw(st.sampled_from([_WIDE, sts.rationals]))
+    a = [draw(st.lists(entries, min_size=t, max_size=t)) for _ in range(n)]
+    b = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(t)]
+    if entries is sts.rationals:
+        rows = draw(st.sampled_from([a, b]))
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_WIDE)
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = [Fraction(0)] * t
+    if draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        for row in b:
+            row[j] = Fraction(0)
+    return a, b
+
+
+# Magnitudes at and beside powers of two, and inner lengths at and beside them,
+# so that some products come within one bit of filling their slots.
+_EDGE_MAGNITUDES = (0, 1, 3, 7, 8, 127, 128, 255, 256, 2**16 - 1, 2**64, 2**300 - 1)
+_EDGE_SHAPES = ((1, 1, 1), (3, 1, 4), (2, 3, 2), (2, 7, 3), (2, 8, 3), (3, 15, 2))
+
+
+class TestWideProducts:
+    @given(_wide_mul_operands())
+    @settings(max_examples=300)
+    def test_wide_entries_match_the_oracle(self, operands):
+        a, b = operands
+        p, _ = super_mul(make_super(a), make_super(b))
+        assert rows_of(p) == orc.o_mul(a, b)
+
+    def test_every_dot_product_at_its_largest(self):
+        for (n, t, m), r, c, sr, sc in product(_EDGE_SHAPES, _EDGE_MAGNITUDES, _EDGE_MAGNITUDES, (1, -1), (1, -1)):
+            a = make_super([[sr * r] * t] * n)
+            b = make_super([[sc * c] * m] * t)
+            dot = t * sr * r * sc * c
+            assert rows_of(super_mul(a, b)[0]) == [[dot] * m] * n, (n, t, m, sr * r, sc * c)
 
 
 class TestGram:

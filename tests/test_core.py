@@ -295,6 +295,23 @@ def test_wrong_types_raise_invalid_argument(call):
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: make_super(["12", "34"]), "each row must not be a str"),
+        (lambda: make_super("12"), "rows must not be a str"),
+        (lambda: DenseMatrix(1, 2, "12"), "entries must not be a str"),
+        (lambda: make_super([[1, 2]], (), b"\x01"), "cuts must not be a bytes"),
+        (lambda: make_partition(3, "12"), "cuts must not be a str"),
+    ],
+    ids=["str-rows-in-list", "str-rows", "str-entries", "bytes-cuts", "str-cuts"],
+)
+def test_text_is_not_read_as_a_container(call, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        call()
+    assert make_super([["7/2", "12"]]).data.entries == (Fraction(7, 2), Fraction(12))  # a str entry stays one value
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
         (lambda: parse_scalar("1e3"), "invalid rational '1e3'"),
         (lambda: make_super([["1e3"]]), "invalid rational '1e3'"),
         (lambda: make_super([["1/0"]]), "zero denominator in '1/0'"),

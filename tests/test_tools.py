@@ -1,0 +1,66 @@
+"""tools/bench_trajectory.py on the committed BENCH_<n>.json files, and on malformed ones."""
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
+
+import bench_trajectory  # noqa: E402
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+    _BENCHMARK = json.load(f)
+_METRICS = [m["name"] for m in _BENCHMARK["end_to_end"]]
+
+
+def test_prints_every_workload_and_metric_of_the_committed_files():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "bench_trajectory.py")], capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    numbers = sorted(int(m[1]) for f in os.listdir(ROOT) if (m := re.fullmatch(r"BENCH_(\d+)\.json", f)))
+    records = []
+    for n in numbers:
+        with open(os.path.join(ROOT, f"BENCH_{n}.json")) as f:
+            records.append(json.load(f)["workloads"])
+    for workload in (w["name"] for w in _BENCHMARK["workloads"]):
+        at = lines.index(workload)
+        assert lines[at + 1].split() == ["metric", *(f"#{n}" for n in numbers), "chained"]  # #10 follows #9
+        for metric, line in zip(_METRICS, lines[at + 2 :]):
+            expected = [r[workload]["medians"][metric] for r in records if workload in r]
+            expected = [m["change"] / m["parent"] for m in expected if m.get("parent") and "change" in m]
+            cells = line.split()
+            assert cells[0] == metric
+            assert [float(c) for c in cells[1:-1] if c != "-"] == [round(r, 3) for r in expected]
+            assert cells[-1] == f"x{math.prod(expected):.3f}"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{", "JSONDecodeError"),
+        ('{"workloads": []}', "AttributeError"),
+        ('{"workloads": {"w": {"pairs": []}}}', "KeyError"),
+        ('{"workloads": {"w": {"medians": {}}}}', "KeyError"),
+        ('{"workloads": {"w": {"medians": {"m": {"parent": "1", "change": 1}}}}}', "not a finite number"),
+    ],
+    ids=["not-json", "workloads-not-a-dict", "no-medians", "no-metric", "text-median"],
+)
+def test_a_malformed_file_is_named(tmp_path, text, problem):
+    path = tmp_path / "BENCH_99.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"^BENCH_99\.json: not a benchmark record") as raised:
+        bench_trajectory.ratios(str(path), ["m"])
+    assert problem in str(raised.value)
+
+
+def test_a_missing_ratio_is_skipped_in_the_product():
+    labels, table = ["1", "2"], {"w": {"m": [0.5, None]}}
+    assert bench_trajectory.render(labels, table).splitlines()[-1].split() == ["m", "0.500", "-", "x0.500"]
