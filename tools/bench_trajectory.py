@@ -13,7 +13,6 @@ leaves the product as it is. A file that is not such a record ends the run
 with exit status 1 and a message naming it.
 """
 
-import glob
 import json
 import math
 import os
@@ -25,12 +24,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def bench_files():
     """The BENCH_<n>.json files at the root of the repository, in order of n."""
-    numbered = []
-    for path in glob.glob(os.path.join(ROOT, "BENCH_*.json")):
-        m = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
-        if m:
-            numbered.append((int(m[1]), path))
-    return [path for _, path in sorted(numbered)]
+    names = [f for f in os.listdir(ROOT) if re.fullmatch(r"BENCH_\d+\.json", f)]
+    return [os.path.join(ROOT, f) for f in sorted(names, key=lambda f: int(f[len("BENCH_") : -len(".json")]))]
 
 
 def ratios(path, metrics):
