@@ -29,6 +29,7 @@ import argparse
 import errno
 import functools
 import os
+import re
 import sys
 
 from . import textio
@@ -81,6 +82,11 @@ def _write(out, text):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads '-3' and '-1.5' as negative numbers, not as options; read '-1/2' so too
+        self._negative_number_matcher = re.compile(rf"{self._negative_number_matcher.pattern}|^-[0-9]+/[0-9]+\Z")
+
     def error(self, message):
         raise _Failure(FAILED_READ, f"usage error: {message}")
 

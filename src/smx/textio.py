@@ -14,12 +14,14 @@ separates components; text after it is an error at that text's column:
     [ 7/2 -1 ]
 
 parse decides what each line is: blank, a separator, a row cut, or the
-opening '[' of a component. The component reader takes the rest of the line.
-If its only blanks are spaces and tabs, it splits it on them into scalars,
-each converted once per parse, '|' cuts between two of them and a last ']'.
-Any other text ('1|2', '2]', ';', another blank, a stray or doubled '|', an
-invalid scalar) it reads token by token, reporting every error; so an error's
-type, line, column and message do not depend on which way the line was read.
+opening '[' of a component. The component reader reads the rest of the line
+into a value: its entries, its column cuts and whether ']' closed it. Text
+whose only blanks are spaces and tabs it splits on them into scalars, '|'
+cuts between two of them and a last ']'; any other text ('1|2', '2]', ';',
+another blank, a stray or doubled '|', an invalid scalar) it reads token by
+token, reporting every error, so an error's type, line, column and message
+do not depend on which way the line was read. Each parse call converts tokens
+through its own functools.cache of parse_scalar: each distinct one once.
 
 Parsing accepts LF or CRLF line ends, any run of spaces and tabs between
 tokens (no other blank) and fractions not in lowest terms ('2/4' reads as
@@ -29,6 +31,7 @@ column, single spaces inside a block, ' | ' at column cuts, rule lines with
 parse(format(u)) reproduces u exactly and format is idempotent.
 """
 
+import functools
 import re
 from itertools import chain
 
@@ -44,25 +47,35 @@ _SEPARATORS = ("U", "∪")
 _TOKEN = re.compile(rf"(?P<scalar>[-+/0-9]+)|[^{_BLANKS}]")
 
 
-class _Scalars(dict):
-    """Token -> Fraction for one parse; each distinct token is converted once."""
-
-    def __missing__(self, token):
-        self[token] = value = parse_scalar(token)
-        return value
+def _split_row(text, scalars):
+    """(row, cuts, closed) for text of blank-separated scalars, '|' between two and a last ']'; else None."""
+    tokens = text.split()
+    if len(text) != sum(map(len, tokens)) + sum(map(text.count, _BLANKS)):
+        return None  # a blank the text form does not allow
+    closed = tokens[-1:] == ["]"]
+    if closed:
+        tokens.pop()
+    cuts = []
+    for _ in range(tokens.count("|")):
+        i = tokens.index("|")
+        del tokens[i]
+        if not 0 < i < len(tokens) or cuts[-1:] == [i]:
+            return None  # a leading, trailing or doubled '|'
+        cuts.append(i)
+    try:
+        return list(map(scalars, tokens)), cuts, closed
+    except ValueError:
+        return None  # an invalid scalar, or a token holding any other character
 
 
 class _Component:
-    """An open bracketed component, read one line at a time."""
+    """An open bracketed component and the rows it has finished."""
 
-    def __init__(self, line_no, col, scalars):
+    def __init__(self, line_no, col):
         self.opened = (line_no, col)
-        self.scalars = scalars
         self.rows, self.row_cuts, self.col_cuts = [], [], None
-        self.row, self.cuts = [], []  # the row being read and its column cuts
 
-    def end_row(self, line_no, col):
-        row, cuts = self.row, self.cuts
+    def end_row(self, row, cuts, line_no, col):
         if not row:
             return
         if cuts and cuts[-1] == len(row):
@@ -77,7 +90,6 @@ class _Component:
             message = f"row {n} cuts at {cuts}, previous rows at {self.col_cuts}"
             raise InconsistentCuts(message, line_no, col)
         self.rows.append(row)
-        self.row, self.cuts = [], []
 
     def add_row_cut(self, line_no, col):
         if not self.rows:
@@ -86,9 +98,9 @@ class _Component:
             raise ParseError("duplicate row cut", line_no, col)
         self.row_cuts.append(len(self.rows))
 
-    def close(self, line_no, col):
+    def close(self, row, cuts, line_no, col):
         """End the last row at the ']' in column col; the finished SuperMatrix."""
-        self.end_row(line_no, col)
+        self.end_row(row, cuts, line_no, col)
         if not self.rows:
             raise ParseError("component has no rows", line_no, col)
         if self.row_cuts and self.row_cuts[-1] == len(self.rows):
@@ -96,54 +108,37 @@ class _Component:
         data = DenseMatrix._trusted(len(self.rows), len(self.rows[0]), tuple(chain.from_iterable(self.rows)))
         return make_super(data, self.row_cuts, self.col_cuts)
 
-    def split(self, text):
-        """Read text as one row if it splits on spaces and tabs into scalars, '|' between two
-        of them and a last ']'; whether ']' closed it. None, reading nothing, for other text."""
-        tokens = text.split()
-        if len(text) != sum(map(len, tokens)) + text.count(" ") + text.count("\t"):
-            return None  # a blank other than a space or a tab
-        closed = tokens[-1:] == ["]"]
-        if closed:
-            tokens.pop()
-        cuts = []
-        for _ in range(tokens.count("|")):
-            i = tokens.index("|")
-            del tokens[i]
-            if not 0 < i < len(tokens) or cuts[-1:] == [i]:
-                return None  # a leading, trailing or doubled '|'
-            cuts.append(i)
-        try:
-            self.row = list(map(self.scalars.__getitem__, tokens))
-        except ValueError:
-            return None  # an invalid scalar, or a token holding any other character
-        self.cuts = cuts
-        return closed
-
-    def read(self, line, start, line_no):
+    def read(self, line, start, line_no, scalars):
         """Read line from index start on. The SuperMatrix once ']' closes the component, else None."""
-        closed = self.split(line[start:])
-        if closed:
-            return self.close(line_no, len(line.rstrip(_BLANKS)))
-        rest = _TOKEN.finditer(line, start if closed is None else len(line))  # a split row leaves no tokens
+        split = _split_row(line[start:], scalars)
+        if split is not None:
+            row, cuts, closed = split
+            if closed:
+                return self.close(row, cuts, line_no, len(line.rstrip(_BLANKS)))
+            self.end_row(row, cuts, line_no, len(line) + 1)
+            return None
+        row, cuts = [], []
+        rest = _TOKEN.finditer(line, start)
         for m in rest:
             token, col = m.group(), m.start() + 1
             if m.lastgroup:
                 try:
-                    self.row.append(self.scalars[token])
+                    row.append(scalars(token))
                 except ValueError as e:
                     raise ParseError(str(e), line_no, col) from None
             elif token == "|":
-                if not self.row:
+                if not row:
                     raise ParseError("column cut before the first entry of a row", line_no, col)
-                if self.cuts and self.cuts[-1] == len(self.row):
+                if cuts and cuts[-1] == len(row):
                     raise ParseError("duplicate column cut", line_no, col)
-                self.cuts.append(len(self.row))
+                cuts.append(len(row))
             elif token == ";":
-                if not self.row:
+                if not row:
                     raise ParseError("empty row", line_no, col)
-                self.end_row(line_no, col)
+                self.end_row(row, cuts, line_no, col)
+                row, cuts = [], []
             elif token == "]":
-                result = self.close(line_no, col)
+                result = self.close(row, cuts, line_no, col)
                 after = next(rest, None)
                 if after is not None:
                     raise ParseError("unexpected text after ']'", line_no, after.start() + 1)
@@ -152,14 +147,14 @@ class _Component:
                 raise ParseError("unexpected '[' inside a component", line_no, col)
             else:
                 raise ParseError(f"unexpected character {token!r}", line_no, col)
-        self.end_row(line_no, len(line) + 1)
+        self.end_row(row, cuts, line_no, len(line) + 1)
         return None
 
 
 def parse(text):
     """Parse .smx text into a SuperNMatrix."""
     _expect(str, text)
-    components, reader, pending_sep, scalars = [], None, None, _Scalars()
+    components, reader, pending_sep, scalars = [], None, None, functools.cache(parse_scalar)
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         text_on_line = line.strip(_BLANKS)
@@ -184,12 +179,12 @@ def parse(text):
                 raise ParseError("expected '[' to open a component", line_no, col)
             if components and not pending_sep:
                 raise ParseError("expected 'U' between components", line_no, col)
-            reader, pending_sep = _Component(line_no, col, scalars), None
+            reader, pending_sep = _Component(line_no, col), None
             start += 1
         elif _RULE.fullmatch(text_on_line):
             reader.add_row_cut(line_no, col)
             continue
-        result = reader.read(line, start, line_no)
+        result = reader.read(line, start, line_no, scalars)
         if result is not None:
             components.append(result)
             reader = None
@@ -203,10 +198,7 @@ def parse(text):
 
 
 def _format_component(s):
-    try:
-        cells = [list(map(str, row)) for row in _rows(s.data)]
-    except ValueError:  # an entry beyond the int/str digit limit
-        cells = [list(map(format_scalar, row)) for row in _rows(s.data)]
+    cells = [list(map(format_scalar, row)) for row in _rows(s.data)]
     widths = [max(map(len, column)) for column in zip(*cells)]
     groups = list(s.col_partition.blocks())
     body = []

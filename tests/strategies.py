@@ -1,5 +1,6 @@
 """Hypothesis strategies for partitions, supermatrices, and unions."""
 
+import functools
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -9,12 +10,15 @@ from smx import make_super, make_union
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
+# cuts_for and _rows build each size's strategy once: Hypothesis validates every new one again.
+@functools.cache
 def cuts_for(length):
     if length < 2:
         return st.just(())
     return st.sets(st.integers(1, length - 1), max_size=3).map(lambda s: tuple(sorted(s)))
 
 
+@functools.cache
 def _rows(nrows, ncols):
     return st.lists(
         st.lists(rationals, min_size=ncols, max_size=ncols),

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import fixtures as fx
 import smx
 import strategies as sts
-from smx.cli import run
+from smx.cli import _ArgumentParser, run
 
 
 def invoke(args):
@@ -93,6 +94,42 @@ class TestArithmeticCommands:
         code, out, _ = invoke(["scale", "1/2", f])
         assert code == 0
         assert out == smx.format(smx.scale("1/2", fx.SCALE_BASE))
+
+    @pytest.mark.parametrize("scalar", ["-1/2", "-3"])
+    def test_scale_by_a_negative_scalar(self, tmp_path, scalar):
+        f = write_smx(tmp_path, "m.smx", fx.SCALE_BASE)
+        expected = smx.format(smx.scale(scalar, fx.SCALE_BASE))
+        assert invoke(["scale", scalar, f]) == (0, expected, "")
+        assert invoke(["scale", "--", scalar, f]) == (0, expected, "")
+        target = tmp_path / "out.smx"
+        assert invoke(["scale", scalar, f, "-o", str(target)]) == (0, "", "")
+        assert target.read_text() == expected
+        done = child(["scale", scalar, f], capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+    def test_negative_number_pattern(self):
+        # The parser widens argparse's private negative-number pattern: it must exist on every
+        # supported Python, read '-3' and '-1.5' as numbers, and read '-1/2' only once widened.
+        stock = argparse.ArgumentParser()._negative_number_matcher
+        widened = _ArgumentParser()._negative_number_matcher
+        for text in ("-3", "-1.5"):
+            assert stock.match(text) and widened.match(text)
+        assert not stock.match("-1/2") and widened.match("-1/2")
+        for text in ("-o", "-1/", "-/2", "-1/2/3", "-1/2\n", "-1/x", "-\u0663/2"):
+            assert not widened.match(text)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["scale", "-1/0"], "zero denominator in '-1/0'"),
+            (["scale", "-1.5"], "invalid rational '-1.5'"),
+            (["scale", "-x"], "usage error: the following arguments are required: file"),
+        ],
+        ids=["zero-denominator", "decimal", "option"],
+    )
+    def test_scale_bad_negative_scalar_exits_1(self, tmp_path, args, message):
+        f = write_smx(tmp_path, "m.smx", fx.SCALE_BASE)
+        assert invoke([*args, f]) == (1, "", message + "\n")
 
     def test_scale_bad_scalar_exits_1(self, tmp_path):
         f = write_smx(tmp_path, "m.smx", fx.SCALE_BASE)

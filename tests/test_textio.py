@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import strategies as sts
-from smx import flatten, format, make_super, make_union, parse, parse_scalar, union_strict_eq
+from smx import flatten, format, make_super, make_union, parse, parse_scalar, textio, union_strict_eq
 from smx.core import format_scalar
 from smx.errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 
@@ -62,6 +62,23 @@ class TestParse:
                 parse("[ 1 " + "9" * 5000 + tail + " ]")
             assert (exc.value.line, exc.value.column) == (1, 5)
             assert exc.value.message.startswith(f"{message} '999")
+
+    def test_each_distinct_scalar_is_converted_once_per_parse(self, monkeypatch):
+        calls = []
+
+        def counting(token):  # counts conversions; '2|7/2', which the split tries first, fails
+            value = parse_scalar(token)
+            calls.append(token)
+            return value
+
+        monkeypatch.setattr(textio, "parse_scalar", counting)
+        # split rows, then a token-loop line ('2|7/2' and ';'), then a second component
+        text = "[ 1 2 | 7/2\n  2 1 | 7/2\n  1 2|7/2 ; 2 1 | -3 ]\nU\n[ -3 7/2 ]\n"
+        for _ in range(2):  # the next parse converts every token again
+            calls.clear()
+            u = parse(text)
+            assert sorted(calls) == ["-3", "1", "2", "7/2"]
+        assert flatten(u.components[0]).to_rows()[3] == [2, 1, -3]
 
     def test_negative_and_fraction_scalars(self):
         u = parse("[ -3 7/2 ]")
