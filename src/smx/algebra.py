@@ -17,10 +17,10 @@ above the diagonal, and mirrors them; it never builds the transpose.
 
 import math
 import operator
-from fractions import Fraction
-from itertools import chain
+from itertools import repeat
 
-from .core import DenseMatrix, Record, SuperMatrix, _columns, _expect, _rows, as_rational
+from .core import DenseMatrix, Record, SuperMatrix, _columns, _expect, _flat, _ratio, _rows, _stacked
+from .core import as_rational  # noqa: F401  bench/spans.py counts the coercions made through this name
 from .errors import DimensionMismatch, InvalidValue, PartitionMismatch
 
 
@@ -36,7 +36,7 @@ class ProductWitness(Record):
 def value_eq(a, b):
     """Same shape and entries; partitions ignored."""
     _expect(SuperMatrix, a, b)
-    return a.data.rows == b.data.rows and a.data.cols == b.data.cols and a.data.entries == b.data.entries
+    return a.data == b.data  # entries in lowest terms: equal values are equal pairs
 
 
 def strict_eq(a, b):
@@ -45,8 +45,15 @@ def strict_eq(a, b):
     return a.row_partition == b.row_partition and a.col_partition == b.col_partition and value_eq(a, b)
 
 
+def _reduced(rows, cols, nums, dens):
+    """The DenseMatrix of the entries nums[k] / dens[k], each put in lowest terms by one gcd."""
+    g = list(map(math.gcd, nums, dens))
+    nums, dens = tuple(map(operator.floordiv, nums, g)), tuple(map(operator.floordiv, dens, g))
+    return DenseMatrix._trusted(rows, cols, nums, dens)
+
+
 def _entrywise(op, a, b):
-    """op on matching entries of two supermatrices of identical shape and partitions."""
+    """op (add or sub) on matching entries of two supermatrices of identical shape and partitions."""
     _expect(SuperMatrix, a, b)
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(f"operand shapes differ: {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
@@ -58,8 +65,10 @@ def _entrywise(op, a, b):
         raise PartitionMismatch(
             f"partition mismatch: column cuts {list(a.col_cuts)} vs {list(b.col_cuts)}"
         )
-    entries = tuple(map(op, a.data.entries, b.data.entries))
-    return SuperMatrix(DenseMatrix._trusted(a.rows, a.cols, entries), a.row_partition, a.col_partition)
+    (an, ad), (bn, bd) = _flat(a.data), _flat(b.data)
+    nums = list(map(op, map(operator.mul, an, bd), map(operator.mul, bn, ad)))
+    data = _reduced(a.rows, a.cols, nums, list(map(operator.mul, ad, bd)))
+    return SuperMatrix(data, a.row_partition, a.col_partition)
 
 
 def add(a, b):
@@ -71,23 +80,24 @@ def sub(a, b):
 
 
 def scale(k, a):
-    k = as_rational(k)
+    kn, kd = _ratio(k)
     _expect(SuperMatrix, a)
-    entries = tuple(k * x for x in a.data.entries)
-    return SuperMatrix(DenseMatrix._trusted(a.rows, a.cols, entries), a.row_partition, a.col_partition)
+    nums, dens = _flat(a.data)
+    nums, dens = list(map(operator.mul, repeat(kn), nums)), list(map(operator.mul, repeat(kd), dens))
+    data = _reduced(a.rows, a.cols, nums, dens)
+    return SuperMatrix(data, a.row_partition, a.col_partition)
 
 
 def transpose(a):
     _expect(SuperMatrix, a)
-    entries = tuple(chain.from_iterable(_columns(a.data)))
-    return SuperMatrix(DenseMatrix._trusted(a.cols, a.rows, entries), a.col_partition, a.row_partition)
+    return SuperMatrix(_stacked(_columns(a.data)), a.col_partition, a.row_partition)
 
 
-def _over_lcm(xs):
-    """(integer numerators over one common denominator, that denominator)."""
-    ratios = [x.as_integer_ratio() for x in xs]
-    d = math.lcm(*(q for _, q in ratios))
-    return [n * (d // q) for n, q in ratios], d
+def _over_lcm(line):
+    """(integer numerators, d) of a line, a (numerators, denominators) pair, put over d, the lcm of its denominators."""
+    nums, dens = line
+    d = math.lcm(*dens)
+    return list(map(operator.mul, nums, map(operator.floordiv, repeat(d), dens))), d
 
 
 def _dense_mul(a, b):
@@ -99,10 +109,10 @@ def _dense_mul(a, b):
     Every |dot| <= t * max|r| * max|c| < 2^(s-1), t being a's column count, and a
     bias of 2^(s-1) in every slot makes each slot non-negative, so no slot
     borrows from the next and each is read back from the row's little-endian
-    bytes. Each entry is then one Fraction, not t Fraction sums.
+    bytes. Entry (i, j) is then the dot over p_i * q_j, not t rational sums.
     """
-    rows = [_over_lcm(row) for row in _rows(a)]
-    cols = [_over_lcm(col) for col in _columns(b)]
+    rows = [_over_lcm(line) for line in _rows(a)]
+    cols = [_over_lcm(line) for line in _columns(b)]
     bits = (
         max(max(map(abs, r)) for r, _ in rows).bit_length()
         + max(max(map(abs, c)) for c, _ in cols).bit_length()
@@ -114,14 +124,13 @@ def _dense_mul(a, b):
     half = 1 << (8 * w - 1)
     bias = sum(half << shift for shift in shifts)
     size = w * b.cols
-    out = []
+    col_dens = [q for _, q in cols]
+    nums, dens = [], []
     for r, p in rows:
         slots = sum(map(operator.mul, r, packed), bias).to_bytes(size, "little")
-        out += [
-            Fraction(int.from_bytes(slots[k : k + w], "little") - half, p * q)
-            for k, (_, q) in zip(range(0, size, w), cols)
-        ]
-    return DenseMatrix._trusted(a.rows, b.cols, tuple(out))
+        nums += [int.from_bytes(slots[k : k + w], "little") - half for k in range(0, size, w)]
+        dens += map(operator.mul, repeat(p), col_dens)
+    return _reduced(a.rows, b.cols, nums, dens)
 
 
 def super_mul(a, b):
@@ -154,9 +163,12 @@ def gram(a, side="right"):
         lines, partition = _columns(a.data), a.col_partition
     scaled = [_over_lcm(line) for line in lines]
     n = len(scaled)
-    out = [None] * (n * n)
+    nums, dens = [0] * (n * n), [1] * (n * n)
     for i, (r, p) in enumerate(scaled):
         for j in range(i, n):
             c, q = scaled[j]
-            out[i * n + j] = out[j * n + i] = Fraction(sum(map(operator.mul, r, c)), p * q)
-    return SuperMatrix(DenseMatrix._trusted(n, n, tuple(out)), partition, partition)
+            dot, pq = sum(map(operator.mul, r, c)), p * q
+            g = math.gcd(dot, pq)
+            nums[i * n + j] = nums[j * n + i] = dot // g
+            dens[i * n + j] = dens[j * n + i] = pq // g
+    return SuperMatrix(DenseMatrix._trusted(n, n, tuple(nums), tuple(dens)), partition, partition)

@@ -19,7 +19,7 @@ a supermatrix.
 from itertools import combinations
 
 from . import algebra
-from .core import Record, SuperMatrix, _expect
+from .core import Record, SuperMatrix, _columns, _expect, _flat, _rows
 from .union import SuperNMatrix
 
 SIMPLE = "simple"
@@ -70,11 +70,8 @@ def shape_class(s):
 
 def is_symmetric_super(s):
     _expect(SuperMatrix, s)
-    if s.row_partition != s.col_partition:
-        return False
-    return all(
-        s.data.at(i, j) == s.data.at(j, i) for i in range(s.rows) for j in range(i + 1, s.cols)
-    )
+    # equal partitions make it square; reduced pairs are equal exactly when the values are
+    return s.row_partition == s.col_partition and _rows(s.data) == _columns(s.data)
 
 
 def symmetry_class(u):
@@ -121,7 +118,7 @@ def union_shape(u):
 def improper_pair(u):
     """First (i, j), 1-based, with identical components; None if proper."""
     _expect(SuperNMatrix, u)
-    if u.arity == 1 or all(x == 0 for c in u.components for x in c.data.entries):
+    if u.arity == 1 or not any(any(_flat(c.data)[0]) for c in u.components):  # every numerator zero
         return None
     for (i, a), (j, b) in combinations(enumerate(u.components, start=1), 2):
         if algebra.strict_eq(a, b):

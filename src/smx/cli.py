@@ -34,6 +34,7 @@ import sys
 
 from . import textio
 from .classify import improper_pair, union_class
+from .core import _ratio
 from .errors import ArityMismatch, DimensionMismatch, ParseError, PartitionMismatch
 from .union import (
     union_add,
@@ -141,10 +142,12 @@ def _report_text(report):
 
 
 def _scalar(text):
+    """The scale factor as given, once it reads as a rational: scale reads it again, with no Fraction."""
     try:
-        return textio.parse_scalar(text)
+        _ratio(text)
     except ValueError as e:
         raise _Failure(FAILED_READ, str(e)) from None
+    return text
 
 
 def _operands(ns):

@@ -7,14 +7,17 @@ slice the axis into contiguous blocks. No cuts means the trivial partition,
 and a supermatrix with two trivial partitions is a simple matrix that
 happens to carry its (empty) partition data along.
 
-Entries are fractions.Fraction throughout. Floats are refused rather than
-converted: binary floats would smuggle rounding into a library whose whole
-point is exactness. A string entry has one grammar wherever it comes from
-(a .smx file, the CLI scalar, make_super): an optional '-', ASCII digits,
-and optionally '/' and more ASCII digits. Numbers of any length are read
-and written without touching Python's process-wide int/str digit limit.
+Entries are fractions.Fraction at the API and reduced int pairs inside: a
+DenseMatrix keeps two tuples of ints, the numerators in lowest terms and their
+positive denominators, and its .entries builds its Fractions on each access.
+Floats are refused rather than converted: binary floats would smuggle rounding
+into a library whose whole point is exactness. A string entry has one grammar
+wherever it comes from (a .smx file, the CLI scalar, make_super): an optional
+'-', ASCII digits, and optionally '/' and more ASCII digits. Numbers of any
+length are read and written without touching Python's int/str digit limit.
 """
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -66,48 +69,55 @@ def _expect(cls, *values):
             raise InvalidArgument(f"expected a {cls.__name__}, got {type(v).__name__}")
 
 
-def parse_scalar(text):
-    """One rational like '-3' or '7/2'. Raises InvalidValue, a ValueError, on any other str."""
-    _expect(str, text)
-    m = _SCALAR.fullmatch(text.strip(_BLANKS))
-    if m is None:
-        raise InvalidValue(f"invalid rational {text!r}")
-    numerator, denominator = m.groups()
-    if denominator is None:
-        return Fraction(_int(numerator))
-    denominator = _int(denominator)
-    if not denominator:
-        raise InvalidValue(f"zero denominator in {text!r}")
-    return Fraction(_int(numerator), denominator)
-
-
-def format_scalar(x):
-    """The text of one Fraction entry, as str(x) writes it, at any size."""
-    try:
-        return str(x)
-    except ValueError:  # beyond the int/str digit limit
-        n = _str(x.numerator)
-        return n if x.denominator == 1 else f"{n}/{_str(x.denominator)}"
-
-
-def as_rational(x):
-    """Coerce int / Fraction / scalar string to Fraction. Floats and bools are rejected."""
+def _ratio(x):
+    """The one reader of an entry: (numerator, denominator) in lowest terms, denominator > 0, of an
+    int, a Fraction or a scalar string. InvalidArgument for a float, a bool or any other type that
+    Fraction refuses; InvalidValue, a ValueError, for a str outside the grammar."""
+    if type(x) is int:
+        return x, 1
     if type(x) is Fraction:
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, str):
-        return parse_scalar(x)
+        m = _SCALAR.fullmatch(x.strip(_BLANKS))
+        if m is None:
+            raise InvalidValue(f"invalid rational {x!r}")
+        n, d = _int(m[1]), _int(m[2] or "1")
+        if not d:
+            raise InvalidValue(f"zero denominator in {x!r}")
+        g = math.gcd(n, d)
+        return n // g, d // g
     if isinstance(x, float):
         raise InvalidArgument(f"refusing float {x!r}; use Fraction or a string like '7/2'")
     if isinstance(x, bool):  # an int subclass, but never an entry
         raise InvalidArgument(f"refusing bool {x!r}; use an int, a Fraction or a string like '7/2'")
     try:
-        return Fraction(x)
+        x = Fraction(x)
     except TypeError:
         raise InvalidArgument(
             f"refusing {type(x).__name__} {x!r}; use an int, a Fraction or a string like '7/2'"
         ) from None
     except (ValueError, OverflowError) as e:  # a NaN or infinite Decimal
         raise InvalidValue(str(e)) from None
+    return x.numerator, x.denominator
+
+
+def parse_scalar(text):
+    """One rational like '-3' or '7/2'. Raises InvalidValue, a ValueError, on any other str."""
+    _expect(str, text)
+    return Fraction(*_ratio(text))
+
+
+def as_rational(x):
+    """Coerce int / Fraction / scalar string to Fraction. Floats and bools are rejected."""
+    return x if type(x) is Fraction else Fraction(*_ratio(x))
+
+
+def format_scalar(n, d):
+    """The text of the entry n/d, a reduced pair, as str(Fraction(n, d)) writes it, at any size."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # beyond the int/str digit limit
+        return _str(n) if d == 1 else f"{_str(n)}/{_str(d)}"
 
 
 def _tuple(items, what):
@@ -129,14 +139,16 @@ class Record:
     runs __post_init__ to validate them (and to normalise a field with
     object.__setattr__). Records compare equal when they are of the same class
     with equal fields, hash by their fields, print as Name(field=value, ...),
-    refuse assignment, and pickle and copy by calling the class again.
+    refuse assignment, and pickle and copy by calling the class again. A
+    subclass that stores its fields in another form names the public ones in
+    __match_args__: they are what it prints, pickles and matches by.
     """
 
     __slots__ = ("_values",)  # the fields once validated, compared and hashed as one
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls.__match_args__ = cls.__slots__
+        cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
         cls._get_values = operator.attrgetter(*cls.__slots__)  # a single field is read bare
 
     def _init(self, *values, check=True):
@@ -172,11 +184,11 @@ class Record:
         return hash(self._values)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 class Partition(Record):
@@ -226,26 +238,27 @@ def make_partition(length, cuts=()):
 
 
 class DenseMatrix(Record):
-    """Row-major immutable matrix of Fractions."""
+    """Row-major immutable matrix of rationals, kept as reduced numerators and positive denominators."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_nums", "_dens")
+    __match_args__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        self._init(rows, cols, entries)
+        self._init(rows, cols, entries, None)  # __post_init__ reads the entries into _nums and _dens
 
     def __post_init__(self):
         if type(self.rows) is not int or type(self.cols) is not int or self.rows < 1 or self.cols < 1:
             raise DimensionMismatch(
                 f"matrix dimensions must be positive integers, got {self.rows!r}x{self.cols!r}"
             )
-        entries = _tuple(self.entries, "entries")
-        if not {*map(type, entries)} <= {Fraction}:  # exact Fractions pass as they are
-            entries = tuple(map(as_rational, entries))
-        if len(entries) != self.rows * self.cols:
+        ratios = list(map(_ratio, _tuple(self._nums, "entries")))
+        if len(ratios) != self.rows * self.cols:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(entries)}"
+                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, got {len(ratios)}"
             )
-        object.__setattr__(self, "entries", entries)
+        nums, dens = zip(*ratios)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_dens", dens)
 
     @classmethod
     def from_rows(cls, rows):
@@ -257,27 +270,43 @@ class DenseMatrix(Record):
         for i, r in enumerate(rows):
             if len(r) != width:
                 raise DimensionMismatch(f"row {i + 1} has {len(r)} entries, row 1 has {width}")
-        flat = tuple(chain.from_iterable(rows))
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, chain.from_iterable(rows))
+
+    @property
+    def entries(self):
+        """The entries in row-major order: a tuple of Fractions, built on each access."""
+        return tuple(map(Fraction, self._nums, self._dens))
 
     def at(self, i, j):
         """Entry at 0-based (i, j)."""
-        return self.entries[i * self.cols + j]
+        k = i * self.cols + j
+        return Fraction(self._nums[k], self._dens[k])
 
     def to_rows(self):
-        return [list(row) for row in _rows(self)]
+        return [list(map(Fraction, nums, dens)) for nums, dens in _rows(self)]
+
+
+def _flat(m):
+    """(numerators, denominators) of DenseMatrix m, two row-major tuples."""
+    return m._nums, m._dens
 
 
 def _rows(m):
-    """The rows of DenseMatrix m, each a tuple slice of its entries."""
-    x, w = m.entries, m.cols
-    return [x[i : i + w] for i in range(0, len(x), w)]
+    """The rows of DenseMatrix m, each a pair (numerators, denominators) of tuple slices."""
+    x, y, w = m._nums, m._dens, m.cols
+    return [(x[i : i + w], y[i : i + w]) for i in range(0, len(x), w)]
 
 
 def _columns(m):
-    """The columns of DenseMatrix m, each a tuple slice of its entries."""
-    x, w = m.entries, m.cols
-    return [x[j::w] for j in range(w)]
+    """The columns of DenseMatrix m, each a pair (numerators, denominators) of tuple slices."""
+    x, y, w = m._nums, m._dens, m.cols
+    return [(x[j::w], y[j::w]) for j in range(w)]
+
+
+def _stacked(lines, c0=0, c1=None):
+    """The DenseMatrix whose rows are columns c0:c1 of lines, pairs (numerators, denominators) of one length."""
+    nums, dens = (tuple(chain.from_iterable(x[c0:c1] for x in side)) for side in zip(*lines))
+    return DenseMatrix._trusted(len(lines), len(nums) // len(lines), nums, dens)
 
 
 class SuperMatrix(Record):
@@ -357,7 +386,7 @@ def block(s, i, j):
     if not (1 <= i <= rb) or not (1 <= j <= cb):
         raise BlockIndexOutOfRange(f"block ({i}, {j}) outside {rb}x{cb} grid")
     (r0, r1), (c0, c1) = s.row_partition.bounds[i - 1 : i + 1], s.col_partition.bounds[j - 1 : j + 1]
-    return make_super([row[c0:c1] for row in _rows(s.data)[r0:r1]])
+    return make_super(_stacked(_rows(s.data)[r0:r1], c0, c1))
 
 
 def flatten(s):
@@ -377,5 +406,5 @@ def strips(s, axis):
     _expect(SuperMatrix, s)
     rows = _rows(s.data)
     if axis == "row":
-        return [make_super(rows[r0:r1], (), s.col_cuts) for r0, r1 in s.row_partition.blocks()]
-    return [make_super([row[c0:c1] for row in rows], s.row_cuts, ()) for c0, c1 in s.col_partition.blocks()]
+        return [make_super(_stacked(rows[r0:r1]), (), s.col_cuts) for r0, r1 in s.row_partition.blocks()]
+    return [make_super(_stacked(rows, c0, c1), s.row_cuts, ()) for c0, c1 in s.col_partition.blocks()]

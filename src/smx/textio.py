@@ -20,8 +20,9 @@ whose only blanks are spaces and tabs it splits on them into scalars, '|'
 cuts between two of them and a last ']'; any other text ('1|2', '2]', ';',
 another blank, a stray or doubled '|', an invalid scalar) it reads token by
 token, reporting every error, so an error's type, line, column and message
-do not depend on which way the line was read. Each parse call converts tokens
-through its own functools.cache of parse_scalar: each distinct one once.
+do not depend on which way the line was read. Each parse call reads tokens
+through its own functools.cache of core._ratio: each distinct one once, into
+the reduced (numerator, denominator) pair that a DenseMatrix keeps.
 
 Parsing accepts LF or CRLF line ends, any run of spaces and tabs between
 tokens (no other blank) and fractions not in lowest terms ('2/4' reads as
@@ -35,7 +36,7 @@ import functools
 import re
 from itertools import chain
 
-from .core import _BLANKS, DenseMatrix, SuperMatrix, _expect, _rows, format_scalar, make_super, parse_scalar
+from .core import _BLANKS, DenseMatrix, SuperMatrix, _expect, _ratio, _rows, format_scalar, make_super
 from .errors import EmptyInput, InconsistentCuts, InvalidArgument, ParseError, RaggedRows
 from .union import SuperNMatrix, make_union
 
@@ -105,7 +106,8 @@ class _Component:
             raise ParseError("component has no rows", line_no, col)
         if self.row_cuts and self.row_cuts[-1] == len(self.rows):
             raise ParseError("row cut after the last row", line_no, col)
-        data = DenseMatrix._trusted(len(self.rows), len(self.rows[0]), tuple(chain.from_iterable(self.rows)))
+        nums, dens = zip(*chain.from_iterable(self.rows))
+        data = DenseMatrix._trusted(len(self.rows), len(self.rows[0]), nums, dens)
         return make_super(data, self.row_cuts, self.col_cuts)
 
     def read(self, line, start, line_no, scalars):
@@ -154,7 +156,7 @@ class _Component:
 def parse(text):
     """Parse .smx text into a SuperNMatrix."""
     _expect(str, text)
-    components, reader, pending_sep, scalars = [], None, None, functools.cache(parse_scalar)
+    components, reader, pending_sep, scalars = [], None, None, functools.cache(_ratio)
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw[:-1] if raw.endswith("\r") else raw
         text_on_line = line.strip(_BLANKS)
@@ -198,7 +200,7 @@ def parse(text):
 
 
 def _format_component(s):
-    cells = [list(map(format_scalar, row)) for row in _rows(s.data)]
+    cells = [list(map(format_scalar, nums, dens)) for nums, dens in _rows(s.data)]
     widths = [max(map(len, column)) for column in zip(*cells)]
     groups = list(s.col_partition.blocks())
     body = []

@@ -7,6 +7,12 @@ lists of numbers and knows nothing about partitions.
 from fractions import Fraction
 
 
+def o_rows(nrows, ncols, flat):
+    """The row lists of Fractions that a row-major flat list of nrows * ncols rationals holds."""
+    assert len(flat) == nrows * ncols
+    return [[Fraction(x) for x in flat[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
+
+
 def o_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

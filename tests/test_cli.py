@@ -424,6 +424,43 @@ class TestFlushBeforeExit:
         assert (tmp_path / "out.smx").read_bytes() == expected.encode()
 
 
+_NO_FRACTION_FILES = {
+    "a": "[ 1 -1/2 | 3\n  2/3 5 | 7 ]\n",
+    "b": "[ 1 2\n  3/4 -5\n  ----\n  6 1/7 ]\n",
+    "u": "[ 1 -1/2 | 3\n  2/3 5 | 7 ]\nU\n[ 2 1/3\n  1/3 0 ]\nU\n[ 0 0 ]\nU\n[ 1 -1/2 | 3\n  2/3 5 | 7 ]\n",
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mul", "{a}", "{b}"],
+        ["gram", "--side", "left", "{a}"],
+        ["gram", "--side", "right", "{b}"],
+        ["add", "{a}", "{a}"],
+        ["scale", "-7/2", "{a}"],
+        ["transpose", "{b}"],
+        ["check", "{u}"],
+    ],
+    ids=["mul", "gram-left", "gram-right", "add", "scale", "transpose", "check"],
+)
+def test_the_cli_builds_no_fraction(tmp_path, monkeypatch, args):
+    paths = {name: write_smx(tmp_path, f"{name}.smx", text) for name, text in _NO_FRACTION_FILES.items()}
+    argv = [a.format(**paths) for a in args]
+    expected = invoke(argv)
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *values, **kwargs):
+        built.append(values)
+        return new(cls, *values, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = invoke(argv)
+    monkeypatch.undo()
+    assert got == expected and got[0] in (0, 3) and got[1]
+    assert built == []
+
+
 class TestCheckAndClassify:
     def test_check_improper_exits_3(self, tmp_path):
         f = write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)

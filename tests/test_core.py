@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import strategies as sts
+from oracles import o_rows
 from smx import (
     ClassReport,
     DenseMatrix,
@@ -518,13 +519,17 @@ def test_library_results_equal_publicly_built_records():
     a = make_super([[1, "1/2"], [3, -4]], [1], [1])
     b = make_super([["2/3", 0], [5, 7]], [1], [1])
     results = [
-        DenseMatrix._trusted(1, 2, (Fraction(1, 2), Fraction(3))),
+        DenseMatrix._trusted(1, 2, (1, 3), (2, 1)),
         parse("[ 1/2 3 ]").components[0].data,
         scale(3, a).data,
         transpose(a).data,
         super_mul(a, b)[0].data,
         gram(a, "left").data,
         union_add(make_union([a]), make_union([b])).components[0].data,
+        sub(a, b).data,
+        flatten(a),
+        block(a, 2, 1).data,
+        *(s.data for s in strips(a, "row") + strips(a, "column")),
     ]
     for m in results:
         public = DenseMatrix(m.rows, m.cols, list(m.entries))
@@ -533,3 +538,39 @@ def test_library_results_equal_publicly_built_records():
         twin = pickle.loads(pickle.dumps(m))
         assert twin == public and hash(twin) == hash(public)
         assert pickle.dumps(m) == pickle.dumps(public)
+    # entries wider than the int/str digit limit, which repr cannot write
+    w = make_super([[10**5000 + 1, Fraction(-7, 10**4400 + 3)], ["6/4", 2]], [1], [1])
+    wide = [w.data, parse(format(w)).components[0].data, scale("1/3", w).data, add(w, w).data, sub(w, a).data]
+    wide += [transpose(w).data, super_mul(w, w)[0].data, gram(w).data, block(w, 1, 2).data, strips(w, "row")[1].data]
+    for m in wide:
+        public = DenseMatrix(m.rows, m.cols, list(m.entries))
+        assert m == public and public == m and hash(m) == hash(public)
+        assert type(m.entries) is tuple and all(type(x) is Fraction for x in m.entries)
+
+
+_ENTRIES = st.one_of(
+    st.integers(),
+    st.fractions(),
+    st.decimals(allow_nan=False, allow_infinity=False, places=3),
+    st.integers().map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(), st.integers(1)),
+)
+
+
+@given(st.data())
+def test_entries_at_to_rows_and_value_eq_agree_with_the_oracle(data):
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    xs = data.draw(st.lists(_ENTRIES, min_size=nrows * ncols, max_size=nrows * ncols))
+    m = DenseMatrix(nrows, ncols, xs)
+    rows = o_rows(nrows, ncols, xs)
+    assert m.entries == tuple(map(Fraction, xs)) and all(type(x) is Fraction for x in m.entries)
+    assert m.to_rows() == rows
+    assert [[m.at(i, j) for j in range(ncols)] for i in range(nrows)] == rows
+    # the same values written another way, not in lowest terms, and other values of the same shape
+    unreduced = [f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in xs]
+    ys = data.draw(st.lists(_ENTRIES, min_size=nrows * ncols, max_size=nrows * ncols))
+    for other in (unreduced, ys):
+        same = o_rows(nrows, ncols, other) == rows
+        n = DenseMatrix(nrows, ncols, other)
+        assert value_eq(make_super(m), make_super(n)) is same and (m == n) is same
+        assert not same or hash(m) == hash(n)

@@ -64,14 +64,14 @@ class TestParse:
             assert exc.value.message.startswith(f"{message} '999")
 
     def test_each_distinct_scalar_is_converted_once_per_parse(self, monkeypatch):
-        calls = []
+        calls, read = [], textio._ratio
 
         def counting(token):  # counts conversions; '2|7/2', which the split tries first, fails
-            value = parse_scalar(token)
+            value = read(token)
             calls.append(token)
             return value
 
-        monkeypatch.setattr(textio, "parse_scalar", counting)
+        monkeypatch.setattr(textio, "_ratio", counting)
         # split rows, then a token-loop line ('2|7/2' and ';'), then a second component
         text = "[ 1 2 | 7/2\n  2 1 | 7/2\n  1 2|7/2 ; 2 1 | -3 ]\nU\n[ -3 7/2 ]\n"
         for _ in range(2):  # the next parse converts every token again
@@ -239,7 +239,7 @@ class TestFormat:
         text = format(s)
         assert union_strict_eq(parse(text), make_union([s]))
         cells = [c for c in text.replace("[", " ").replace("]", " ").split() if c.strip("-+|")]  # no rule, no cut
-        assert cells == [format_scalar(x) for row in entries for x in row]
+        assert cells == [format_scalar(*Fraction(x).as_integer_ratio()) for row in entries for x in row]
 
     def test_wrong_type(self):
         with pytest.raises(TypeError):

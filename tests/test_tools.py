@@ -13,6 +13,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import bench_trajectory  # noqa: E402
+import cli_diff  # noqa: E402
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     _BENCHMARK = json.load(f)
@@ -64,3 +65,26 @@ def test_a_malformed_file_is_named(tmp_path, text, problem):
 def test_a_missing_ratio_is_skipped_in_the_product():
     labels, table = ["1", "2"], {"w": {"m": [0.5, None]}}
     assert bench_trajectory.render(labels, table).splitlines()[-1].split() == ["m", "0.500", "-", "x0.500"]
+
+
+def test_cli_diff_finds_no_difference_with_head_on_tiny_inputs():
+    done = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "cli_diff.py"), "--parent", "HEAD", "--seeds", "1", "--tiny"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    summary = r"parent [0-9a-f]{12}, seeds 1 \(tiny\): \d+ calls, 0 differences\n"
+    assert re.fullmatch(summary, done.stdout)
+
+
+def test_cli_diff_lists_each_field_that_differs():
+    jobs = [("edge", ["check", "a.smx"], None), ("edge", ["transpose", "a.smx", "-o", "b.smx"], "b.smx")]
+    parent = [[0, "d1", "", None], [0, "d2", "", "d3"]]
+    change = [[0, "d1", "", None], [1, "d2", "line 1", None]]
+    assert cli_diff.differences(jobs, parent, parent) == []
+    assert [(argv[0], field, a, b) for _, argv, field, a, b in cli_diff.differences(jobs, parent, change)] == [
+        ("transpose", "exit code", 0, 1),
+        ("transpose", "stderr", "", "line 1"),
+        ("transpose", "-o file", "d3", None),
+    ]
