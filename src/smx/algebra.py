@@ -8,7 +8,9 @@ the ordinary dense product, the result carries A's row partition and B's
 column partition, and the shared inner partition is reported in a witness
 rather than in the result. The product puts each row of A and each column of B
 over its lcm and computes a whole row of integer dot products as one packed
-big-integer sum, one slot per column, wide enough that no slot overflows.
+big-integer sum, one slot per column, wide enough that no slot overflows. One
+memoryview cast reads back all rows' native-order slots of 1, 2, 4 or 8 bytes,
+wider ones one at a time. Lines over lcm 1 are not rescaled, nor entries over 1 reduced.
 
 The gram products a*a^T and a^T*a are symmetric by construction, so gram puts
 each row (or column) of a over its lcm once, computes only the entries on and
@@ -17,7 +19,8 @@ above the diagonal, and mirrors them; it never builds the transpose.
 
 import math
 import operator
-from itertools import repeat
+import sys
+from itertools import chain, repeat
 
 from .core import DenseMatrix, Record, SuperMatrix, _columns, _expect, _flat, _ratio, _rows, _stacked
 from .core import as_rational  # noqa: F401  bench/spans.py counts the coercions made through this name
@@ -97,7 +100,10 @@ def _over_lcm(line):
     """(integer numerators, d) of a line, a (numerators, denominators) pair, put over d, the lcm of its denominators."""
     nums, dens = line
     d = math.lcm(*dens)
-    return list(map(operator.mul, nums, map(operator.floordiv, repeat(d), dens))), d
+    return (list(map(operator.mul, nums, map(operator.floordiv, repeat(d), dens))) if d != 1 else nums), d
+
+
+_SLOT_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "bhilq"}  # signed, by item size
 
 
 def _dense_mul(a, b):
@@ -106,31 +112,33 @@ def _dense_mul(a, b):
 
     Row k of the scaled b is packed into P_k = sum_j c_kj << (s*j), so that
     sum_k r_ik * P_k holds the m dot products of row i in slots of s = 8w bits.
-    Every |dot| <= t * max|r| * max|c| < 2^(s-1), t being a's column count, and a
-    bias of 2^(s-1) in every slot makes each slot non-negative, so no slot
-    borrows from the next and each is read back from the row's little-endian
-    bytes. Entry (i, j) is then the dot over p_i * q_j, not t rational sums.
+    Every |dot| <= t * max|r| * max|c| < 2^(s-1), t being a's column count. A bias
+    of 2^(s-1) per slot keeps each slot non-negative, so none borrows from the next,
+    and xor with the bias leaves each dot in two's complement. w is the least of 1,
+    2, 4 and 8 bytes that holds the bound, so one memoryview cast reads all n*m dots
+    from the rows' native-order bytes; a wider w reads each slot with int.from_bytes.
+    Entry (i, j) is the dot over p_i * q_j, reduced unless every p_i and q_j is 1.
     """
     rows = [_over_lcm(line) for line in _rows(a)]
-    cols = [_over_lcm(line) for line in _columns(b)]
-    bits = (
-        max(max(map(abs, r)) for r, _ in rows).bit_length()
-        + max(max(map(abs, c)) for c, _ in cols).bit_length()
-        + a.cols.bit_length()
-    )
-    w = bits // 8 + 1  # bytes per slot, the least with 8w - 1 >= bits
-    shifts = range(0, 8 * w * b.cols, 8 * w)
-    packed = [sum(map(operator.lshift, line, shifts)) for line in zip(*(c for c, _ in cols))]
-    half = 1 << (8 * w - 1)
-    bias = sum(half << shift for shift in shifts)
-    size = w * b.cols
-    col_dens = [q for _, q in cols]
-    nums, dens = [], []
-    for r, p in rows:
-        slots = sum(map(operator.mul, r, packed), bias).to_bytes(size, "little")
-        nums += [int.from_bytes(slots[k : k + w], "little") - half for k in range(0, size, w)]
-        dens += map(operator.mul, repeat(p), col_dens)
-    return _reduced(a.rows, b.cols, nums, dens)
+    m, order, b_dens = b.cols, sys.byteorder, _flat(b)[1]
+    col_dens = [math.lcm(*b_dens[j::m]) for j in range(m)]
+    unit = max(col_dens) == 1
+    right = [c if unit else list(map(operator.mul, c, map(operator.floordiv, col_dens, e))) for c, e in _rows(b)]
+    bits = max(max(map(abs, r)) for r, _ in rows).bit_length() + a.cols.bit_length()
+    bits += max(max(map(abs, c)) for c in right).bit_length()
+    w = next((k for k in (1, 2, 4, 8) if 8 * k > bits and k in _SLOT_FORMATS), bits // 8 + 1)
+    shifts = range(0, 8 * w * m, 8 * w)[:: -1 if order == "big" else 1]  # column 0 in the first bytes
+    packed = [sum(map(operator.lshift, c, shifts)) for c in right]
+    bias = sum((1 << (8 * w - 1)) << shift for shift in shifts)
+    buf = b"".join((sum(map(operator.mul, r, packed), bias) ^ bias).to_bytes(w * m, order) for r, _ in rows)
+    if w in _SLOT_FORMATS:
+        nums = memoryview(buf).cast(_SLOT_FORMATS[w]).tolist()
+    else:  # wider than any format: one slot at a time
+        nums = [int.from_bytes(buf[k : k + w], order, signed=True) for k in range(0, len(buf), w)]
+    if unit and all(p == 1 for _, p in rows):
+        return DenseMatrix._trusted(a.rows, m, tuple(nums), (1,) * len(nums))
+    dens = list(chain.from_iterable(map(operator.mul, repeat(p), col_dens) for _, p in rows))
+    return _reduced(a.rows, m, nums, dens)
 
 
 def super_mul(a, b):
@@ -168,7 +176,9 @@ def gram(a, side="right"):
         for j in range(i, n):
             c, q = scaled[j]
             dot, pq = sum(map(operator.mul, r, c)), p * q
-            g = math.gcd(dot, pq)
-            nums[i * n + j] = nums[j * n + i] = dot // g
-            dens[i * n + j] = dens[j * n + i] = pq // g
+            if pq > 1:
+                g = math.gcd(dot, pq)
+                dot, pq = dot // g, pq // g
+            nums[i * n + j] = nums[j * n + i] = dot
+            dens[i * n + j] = dens[j * n + i] = pq
     return SuperMatrix(DenseMatrix._trusted(n, n, tuple(nums), tuple(dens)), partition, partition)

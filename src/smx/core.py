@@ -285,6 +285,11 @@ class DenseMatrix(Record):
     def to_rows(self):
         return [list(map(Fraction, nums, dens)) for nums, dens in _rows(self)]
 
+    def __repr__(self):  # Record's text, each entry as Fraction's repr writes it but at any size
+        cells = ", ".join(map("Fraction({}, {})".format, map(_str, self._nums), map(_str, self._dens)))
+        entries = f"({cells},)" if len(self._nums) == 1 else f"({cells})"
+        return f"{type(self).__qualname__}(rows={self.rows!r}, cols={self.cols!r}, entries={entries})"
+
 
 def _flat(m):
     """(numerators, denominators) of DenseMatrix m, two row-major tuples."""

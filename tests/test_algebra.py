@@ -224,8 +224,11 @@ def _wide_mul_operands(draw):
 
 
 # Magnitudes at and beside powers of two, and inner lengths at and beside them,
-# so that some products come within one bit of filling their slots.
-_EDGE_MAGNITUDES = (0, 1, 3, 7, 8, 127, 128, 255, 256, 2**16 - 1, 2**64, 2**300 - 1)
+# so that some products come within one bit of filling their slots. The bounds
+# reach both sides of the 1-, 2-, 4- and 8-byte slots that one memoryview cast
+# reads (2**15 - 1 squared is the last 4-byte bound), and the wider slots beyond.
+_EDGE_MAGNITUDES = (0, 1, 3, 7, 8, 127, 128, 255, 256, 2**15 - 1, 2**16 - 1)
+_EDGE_MAGNITUDES += (2**31 - 1, 2**31, 2**32 - 1, 2**64, 2**300 - 1)
 _EDGE_SHAPES = ((1, 1, 1), (3, 1, 4), (2, 3, 2), (2, 7, 3), (2, 8, 3), (3, 15, 2))
 
 
@@ -282,6 +285,12 @@ class TestGram:
             assert strict_eq(gram(s, "right"), super_mul(s, transpose(s))[0])
             assert strict_eq(gram(s, "left"), super_mul(transpose(s), s)[0])
             assert max(x.numerator.bit_length() for x in gram(s, "right").data.entries) > 1900
+        # integers only, so every p*q is 1: negative entries, a zero row and a zero column
+        entries = [[0 if 1 in (i, j) else (-1) ** (i * j) * (big + 5 * i - j) for j in range(4)] for i in range(5)]
+        s = make_super(entries, (2,), (1, 3))
+        assert strict_eq(gram(s, "right"), super_mul(s, transpose(s))[0])
+        assert strict_eq(gram(s, "left"), super_mul(transpose(s), s)[0])
+        assert rows_of(gram(s, "right")) == orc.o_mul(entries, [list(c) for c in zip(*entries)])
 
     @given(sts.supermatrices(max_rows=6, max_cols=6))
     def test_square_symmetric_matched_partitions(self, s):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -534,18 +535,37 @@ def test_library_results_equal_publicly_built_records():
     for m in results:
         public = DenseMatrix(m.rows, m.cols, list(m.entries))
         assert m == public and public == m and hash(m) == hash(public) and repr(m) == repr(public)
+        assert repr(m) == f"DenseMatrix(rows={m.rows}, cols={m.cols}, entries={m.entries!r})"  # Fraction's text
         assert type(m.entries) is tuple and all(type(x) is Fraction for x in m.entries)
         twin = pickle.loads(pickle.dumps(m))
         assert twin == public and hash(twin) == hash(public)
         assert pickle.dumps(m) == pickle.dumps(public)
-    # entries wider than the int/str digit limit, which repr cannot write
+    # entries wider than the int/str digit limit, which Fraction's own repr cannot write
     w = make_super([[10**5000 + 1, Fraction(-7, 10**4400 + 3)], ["6/4", 2]], [1], [1])
     wide = [w.data, parse(format(w)).components[0].data, scale("1/3", w).data, add(w, w).data, sub(w, a).data]
     wide += [transpose(w).data, super_mul(w, w)[0].data, gram(w).data, block(w, 1, 2).data, strips(w, "row")[1].data]
     for m in wide:
         public = DenseMatrix(m.rows, m.cols, list(m.entries))
-        assert m == public and public == m and hash(m) == hash(public)
+        assert m == public and public == m and hash(m) == hash(public) and repr(m) == repr(public)
         assert type(m.entries) is tuple and all(type(x) is Fraction for x in m.entries)
+
+
+def test_repr_writes_entries_of_any_size_as_python_does_without_the_digit_limit():
+    one = make_super([[-(10**5000)]])
+    two = make_super([[10**5000 + 1, Fraction(-7, 10**4400 + 3)]], (), [1])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit: Fraction's own repr writes these entries
+    try:
+        e1, e2 = repr(one.data.entries), repr(two.data.entries)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert e1.endswith(",)")  # a one-entry tuple keeps its trailing comma
+    p1, p2 = "Partition(length=1, cuts=())", "Partition(length=2, cuts=(1,))"
+    s1 = f"SuperMatrix(data=DenseMatrix(rows=1, cols=1, entries={e1}), row_partition={p1}, col_partition={p1})"
+    s2 = f"SuperMatrix(data=DenseMatrix(rows=1, cols=2, entries={e2}), row_partition={p1}, col_partition={p2})"
+    assert repr(one.data) == f"DenseMatrix(rows=1, cols=1, entries={e1})"
+    assert repr(one) == s1 and repr(two) == s2
+    assert repr(make_union([one, two])) == f"SuperNMatrix(components=({s1}, {s2}))"
 
 
 _ENTRIES = st.one_of(

@@ -12,6 +12,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+import bench_pairs  # noqa: E402
 import bench_trajectory  # noqa: E402
 import cli_diff  # noqa: E402
 
@@ -65,6 +66,37 @@ def test_a_malformed_file_is_named(tmp_path, text, problem):
 def test_a_missing_ratio_is_skipped_in_the_product():
     labels, table = ["1", "2"], {"w": {"m": [0.5, None]}}
     assert bench_trajectory.render(labels, table).splitlines()[-1].split() == ["m", "0.500", "-", "x0.500"]
+
+
+def test_medians_count_the_pairs_won_lost_and_tied_and_apply_the_claim_rule():
+    parent = list(range(10, 20))  # quartiles 11.75 and 17.25: a gap of 5.5
+    values = {  # metric: (parent, change), one value per pair
+        "inproc_ms_p50": (parent, [x - 7 for x in parent[:9]] + [20]),  # 9 won, median 7 lower
+        "call_ms_p50": (parent, [x - 5 for x in parent[:9]] + [20]),  # 9 won, median 5 lower
+        "calls_per_s": (parent, [x + 7 for x in parent]),  # higher is better: 10 won
+        "ok_ratio": ([1.0] * 10, [1.0] * 10),
+        "inproc_ms_tail": (parent, [x - 9 for x in parent]),  # better in every pair, comparable in 7
+    }
+    sides = list(enumerate(("parent", "change")))
+    pairs = []
+    for i in range(10):
+        pair = {side: {"result": {"metrics": {m: {"value": v[k][i]} for m, v in values.items()}}} for k, side in sides}
+        pair["tail_rungs"] = {"call_ms_tail": [95, 95], "inproc_ms_tail": [90, 95] if i < 3 else [95, 95]}
+        pairs.append(pair)
+    better = {m["name"]: m["better"] for m in _BENCHMARK["end_to_end"]}
+    rows = bench_pairs.medians(pairs, better)
+    terms = ("pairs", "parent", "change", "won", "lost", "tied", "parent_q1", "parent_q3", "claim_met")
+    assert {m: tuple(row[t] for t in terms) for m, row in rows.items()} == {
+        "inproc_ms_p50": (10, 14.5, 7.5, 9, 1, 0, 11.75, 17.25, True),
+        "call_ms_p50": (10, 14.5, 9.5, 9, 1, 0, 11.75, 17.25, False),
+        "calls_per_s": (10, 14.5, 21.5, 10, 0, 0, 11.75, 17.25, True),
+        "ok_ratio": (10, 1.0, 1.0, 0, 0, 10, 1.0, 1.0, False),
+        "inproc_ms_tail": (7, 16, 7, 7, 0, 0, 14.0, 18.0, False),
+    }
+    assert rows["inproc_ms_tail"]["tail_rungs_differ"] == 3 and rows["calls_per_s"]["ratio"] == 21.5 / 14.5
+    line = bench_pairs.describe(rows["inproc_ms_p50"])
+    expected = "14.5000 -> 7.5000 x0.517 won 9 lost 1 tied 0 parent quartiles 11.7500 17.2500 claim met"
+    assert line.split() == expected.split()
 
 
 def test_cli_diff_finds_no_difference_with_head_on_tiny_inputs():

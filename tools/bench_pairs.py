@@ -9,7 +9,10 @@ every workload and seed the two sides run one after the other, parent first
 in even-numbered pairs and this checkout first in odd-numbered ones, so that
 drift in the machine's speed does not favour one side. The output holds each
 pair's two records (without the per-input manifest, which is only compared)
-and, per workload and metric, the median of each side and their ratio.
+and, per workload and metric, the median of each side and their ratio, the
+pairs the change won, lost and tied, the parent's quartiles, and whether the
+claim rule holds: the change won at least nine tenths of the pairs, and its
+median is better than the parent's by more than the parent's quartile gap.
 
 A ``*_tail`` metric is the highest percentile rung with enough samples
 beyond it, and a faster program fits more passes into the same seconds, so
@@ -29,6 +32,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TAILS = ("call_ms_tail", "inproc_ms_tail")
+SIDES = ("parent", "change")
 
 
 def export(rev, directory):
@@ -62,20 +66,46 @@ def trimmed(record):
     return out
 
 
-def medians(pairs):
-    """Per metric: each side's median over the pairs, and change / parent."""
+def medians(pairs, better):
+    """Per metric: each side's median over the pairs, change / parent, and the claim rule's terms.
+
+    better maps a metric to "lower" or "higher", as BENCHMARK.json states it. A pair is won
+    when the change's value is better than the parent's, lost when it is worse, and tied
+    when they are equal. The parent's quartiles are those of statistics.quantiles. The claim
+    rule is met when the change won at least nine tenths of all pairs run and its median is
+    better than the parent's by more than the distance between the parent's quartiles.
+    """
     out = {}
     for name in pairs[0]["parent"]["result"]["metrics"]:
         usable = [p for p in pairs if name not in TAILS or p["tail_rungs"][name][0] == p["tail_rungs"][name][1]]
         row = {"pairs": len(usable)}
         if usable:
-            for side in ("parent", "change"):
-                row[side] = statistics.median(p[side]["result"]["metrics"][name]["value"] for p in usable)
+            values = {side: [p[side]["result"]["metrics"][name]["value"] for p in usable] for side in SIDES}
+            for side in SIDES:
+                row[side] = statistics.median(values[side])
             row["ratio"] = row["change"] / row["parent"] if row["parent"] else None
+            sign = -1 if better[name] == "lower" else 1  # sign * (change - parent) > 0: the change is better
+            gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
+            row["won"], row["lost"] = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+            row["tied"] = len(gains) - row["won"] - row["lost"]
+            if len(usable) > 1:
+                row["parent_q1"], _, row["parent_q3"] = statistics.quantiles(values["parent"], n=4)
+                gap = sign * (row["change"] - row["parent"])
+                row["claim_met"] = row["won"] >= 0.9 * len(pairs) and gap > row["parent_q3"] - row["parent_q1"]
         if name in TAILS:
             row["tail_rungs_differ"] = len(pairs) - len(usable)
         out[name] = row
     return out
+
+
+def describe(row):
+    """One printed line's worth of a medians row: the ratio, the pairs won, lost and tied, and the claim rule."""
+    text = f"{row['parent']:12.4f} -> {row['change']:12.4f}  x{row['ratio']:.3f}" if row["ratio"] is not None else ""
+    text += f"  won {row['won']} lost {row['lost']} tied {row['tied']}"
+    if "claim_met" in row:
+        text += f"  parent quartiles {row['parent_q1']:.4f} {row['parent_q3']:.4f}"
+        text += f"  claim {'met' if row['claim_met'] else 'not met'}"
+    return text
 
 
 def main(argv=None):
@@ -88,6 +118,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True)
     dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, check=True, capture_output=True, text=True)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_sha, parent_root = export(args.parent, tmp)
         roots = {"parent": parent_root, "change": ROOT}
@@ -112,7 +144,7 @@ def main(argv=None):
                         **{side: trimmed(r) for side, r in records.items()},
                     }
                 )
-            workloads[workload] = {"medians": medians(pairs), "pairs": pairs}
+            workloads[workload] = {"medians": medians(pairs, better), "pairs": pairs}
     result = {
         "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "parent": parent_sha,
@@ -127,7 +159,7 @@ def main(argv=None):
     for workload, w in workloads.items():
         for name, row in w["medians"].items():
             if "ratio" in row:
-                print(f"{workload:14s} {name:16s} {row['parent']:12.4f} -> {row['change']:12.4f}  x{row['ratio']:.3f}")
+                print(f"{workload:14s} {name:16s} {describe(row)}")
     return 0
 
 
