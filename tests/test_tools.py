@@ -1,4 +1,5 @@
-"""tools/bench_trajectory.py on the committed BENCH_<n>.json files, and on malformed ones."""
+"""The tools: bench_trajectory.py on the committed BENCH_<n>.json files and on malformed ones,
+bench_pairs.medians, and cli_diff.py against HEAD and on the differences it lists."""
 
 import json
 import math
@@ -106,8 +107,10 @@ def test_cli_diff_finds_no_difference_with_head_on_tiny_inputs():
         text=True,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    summary = r"parent [0-9a-f]{12}, seeds 1 \(tiny\): \d+ calls, 0 differences\n"
-    assert re.fullmatch(summary, done.stdout)
+    summary = r"parent [0-9a-f]{12}, seeds 1 \(tiny\): \d+ calls, 300 texts \((\d+) parsed, (\d+) errors\), "
+    summary += r"0 differences\n"
+    match = re.fullmatch(summary, done.stdout)
+    assert match and int(match[1]) > 0 and int(match[2]) > 0
 
 
 def test_cli_diff_lists_each_field_that_differs():
@@ -119,4 +122,15 @@ def test_cli_diff_lists_each_field_that_differs():
         ("transpose", "exit code", 0, 1),
         ("transpose", "stderr", "", "line 1"),
         ("transpose", "-o file", "d3", None),
+    ]
+
+
+def test_cli_diff_lists_the_text_whose_parse_outcome_differs():
+    texts = [("parse", "[ 1 2 ]"), ("parse", "[ 1 @ ]"), ("parse", "[ 1 2\n3 ]")]
+    parent = [["d1", None, None, None, None], [None, "ParseError", "bad token", 1, 5], [None, "RaggedRows", "r", 2, 1]]
+    change = [row[:] for row in parent]
+    change[1][4] = 6
+    assert cli_diff.differences(texts, parent, parent, cli_diff.PARSE_FIELDS) == []
+    assert cli_diff.differences(texts, parent, change, cli_diff.PARSE_FIELDS) == [
+        ("parse", "[ 1 @ ]", "error column", 5, 6)
     ]

@@ -3,16 +3,18 @@
     python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_<n>.json \\
         --workload text-bulk --seeds 101 102 103 --seconds 30
 
-The parent's committed files are exported with ``git archive`` into a
-temporary directory; this checkout is the working tree as it stands. For
-every workload and seed the two sides run one after the other, parent first
-in even-numbered pairs and this checkout first in odd-numbered ones, so that
-drift in the machine's speed does not favour one side. The output holds each
-pair's two records (without the per-input manifest, which is only compared)
-and, per workload and metric, the median of each side and their ratio, the
-pairs the change won, lost and tied, the parent's quartiles, and whether the
-claim rule holds: the change won at least nine tenths of the pairs, and its
-median is better than the parent's by more than the parent's quartile gap.
+The parent's committed src/ is exported with ``git archive`` into a
+temporary directory, beside a copy of this checkout's bench/ without its
+_run/, so that one harness measures both sides; this checkout is the working
+tree as it stands. For every workload and seed the two sides run one after
+the other, parent first in even-numbered pairs and this checkout first in
+odd-numbered ones, so that drift in the machine's speed does not favour one
+side. The output holds each pair's two records (without the per-input
+manifest, which is only compared) and, per workload and metric, the median
+of each side and their ratio, the pairs the change won, lost and tied, the
+parent's quartiles, and whether the claim rule holds: the change won at
+least nine tenths of the pairs, and its median is better than the parent's
+by more than the parent's quartile gap.
 
 A ``*_tail`` metric is the highest percentile rung with enough samples
 beyond it, and a faster program fits more passes into the same seconds, so
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,11 +39,11 @@ SIDES = ("parent", "change")
 
 
 def export(rev, directory):
-    """The committed files of rev, written under directory; rev's full sha."""
+    """rev's full sha, and a new tree under directory that holds rev's committed src/."""
     sha = subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
-    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
+    archive = subprocess.run(["git", "archive", sha, "src"], cwd=ROOT, check=True, capture_output=True).stdout
     tree = os.path.join(directory, "parent")
     os.mkdir(tree)
     subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
@@ -122,6 +125,9 @@ def main(argv=None):
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_sha, parent_root = export(args.parent, tmp)
+        shutil.copytree(
+            os.path.join(ROOT, "bench"), os.path.join(parent_root, "bench"), ignore=shutil.ignore_patterns("_run")
+        )
         roots = {"parent": parent_root, "change": ROOT}
         workloads = {}
         for workload in args.workload:
