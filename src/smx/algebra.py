@@ -9,7 +9,7 @@ column partition, and the shared inner partition is reported in a witness
 rather than in the result. The product puts each row of A and each column of B
 over its lcm and computes a whole row of integer dot products as one packed
 big-integer sum, one slot per column, wide enough that no slot overflows. One
-memoryview cast reads back all rows' native-order slots of 1, 2, 4 or 8 bytes,
+struct.unpack reads back all rows' little-endian slots of 1, 2, 4 or 8 bytes,
 wider ones one at a time. Lines over lcm 1 are not rescaled, nor entries over 1 reduced.
 
 The gram products a*a^T and a^T*a are symmetric by construction, so gram puts
@@ -19,7 +19,7 @@ above the diagonal, and mirrors them; it never builds the transpose.
 
 import math
 import operator
-import sys
+import struct
 from itertools import chain, repeat
 
 from .core import DenseMatrix, Record, SuperMatrix, _columns, _expect, _flat, _ratio, _rows, _stacked
@@ -103,7 +103,7 @@ def _over_lcm(line):
     return (list(map(operator.mul, nums, map(operator.floordiv, repeat(d), dens))) if d != 1 else nums), d
 
 
-_SLOT_FORMATS = {memoryview(bytes(8)).cast(f).itemsize: f for f in "bhilq"}  # signed, by item size
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct's signed standard sizes, the same on every platform
 
 
 def _dense_mul(a, b):
@@ -115,28 +115,28 @@ def _dense_mul(a, b):
     Every |dot| <= t * max|r| * max|c| < 2^(s-1), t being a's column count. A bias
     of 2^(s-1) per slot keeps each slot non-negative, so none borrows from the next,
     and xor with the bias leaves each dot in two's complement. w is the least of 1,
-    2, 4 and 8 bytes that holds the bound, so one memoryview cast reads all n*m dots
-    from the rows' native-order bytes; a wider w reads each slot with int.from_bytes.
+    2, 4 and 8 bytes that holds the bound, so one struct.unpack reads all n*m dots
+    from the rows' little-endian bytes; a wider w reads each slot with int.from_bytes.
     Entry (i, j) is the dot over p_i * q_j, reduced unless every p_i and q_j is 1.
     """
     rows = [_over_lcm(line) for line in _rows(a)]
-    m, order, b_dens = b.cols, sys.byteorder, _flat(b)[1]
+    m, b_dens = b.cols, _flat(b)[1]
     col_dens = [math.lcm(*b_dens[j::m]) for j in range(m)]
     unit = max(col_dens) == 1
     right = [c if unit else list(map(operator.mul, c, map(operator.floordiv, col_dens, e))) for c, e in _rows(b)]
     bits = max(max(map(abs, r)) for r, _ in rows).bit_length() + a.cols.bit_length()
     bits += max(max(map(abs, c)) for c in right).bit_length()
-    w = next((k for k in (1, 2, 4, 8) if 8 * k > bits and k in _SLOT_FORMATS), bits // 8 + 1)
-    shifts = range(0, 8 * w * m, 8 * w)[:: -1 if order == "big" else 1]  # column 0 in the first bytes
+    w = next((k for k in _SLOT_FORMATS if 8 * k > bits), bits // 8 + 1)
+    shifts = range(0, 8 * w * m, 8 * w)  # column 0 in the lowest bits: the first little-endian bytes
     packed = [sum(map(operator.lshift, c, shifts)) for c in right]
     bias = sum((1 << (8 * w - 1)) << shift for shift in shifts)
-    buf = b"".join((sum(map(operator.mul, r, packed), bias) ^ bias).to_bytes(w * m, order) for r, _ in rows)
+    buf = b"".join((sum(map(operator.mul, r, packed), bias) ^ bias).to_bytes(w * m, "little") for r, _ in rows)
     if w in _SLOT_FORMATS:
-        nums = memoryview(buf).cast(_SLOT_FORMATS[w]).tolist()
+        nums = struct.unpack(f"<{a.rows * m}{_SLOT_FORMATS[w]}", buf)
     else:  # wider than any format: one slot at a time
-        nums = [int.from_bytes(buf[k : k + w], order, signed=True) for k in range(0, len(buf), w)]
+        nums = tuple(int.from_bytes(buf[k : k + w], "little", signed=True) for k in range(0, len(buf), w))
     if unit and all(p == 1 for _, p in rows):
-        return DenseMatrix._trusted(a.rows, m, tuple(nums), (1,) * len(nums))
+        return DenseMatrix._trusted(a.rows, m, nums, (1,) * len(nums))
     dens = list(chain.from_iterable(map(operator.mul, repeat(p), col_dens) for _, p in rows))
     return _reduced(a.rows, m, nums, dens)
 

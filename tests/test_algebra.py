@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -225,7 +226,7 @@ def _wide_mul_operands(draw):
 
 # Magnitudes at and beside powers of two, and inner lengths at and beside them,
 # so that some products come within one bit of filling their slots. The bounds
-# reach both sides of the 1-, 2-, 4- and 8-byte slots that one memoryview cast
+# reach both sides of the 1-, 2-, 4- and 8-byte slots that one struct.unpack
 # reads (2**15 - 1 squared is the last 4-byte bound), and the wider slots beyond.
 _EDGE_MAGNITUDES = (0, 1, 3, 7, 8, 127, 128, 255, 256, 2**15 - 1, 2**16 - 1)
 _EDGE_MAGNITUDES += (2**31 - 1, 2**31, 2**32 - 1, 2**64, 2**300 - 1)
@@ -240,7 +241,9 @@ class TestWideProducts:
         p, _ = super_mul(make_super(a), make_super(b))
         assert rows_of(p) == orc.o_mul(a, b)
 
-    def test_every_dot_product_at_its_largest(self):
+    @pytest.mark.parametrize("byteorder", ["little", "big"])
+    def test_every_dot_product_at_its_largest(self, byteorder, monkeypatch):
+        monkeypatch.setattr(sys, "byteorder", byteorder)  # the product's bytes must not depend on the machine's order
         for (n, t, m), r, c, sr, sc in product(_EDGE_SHAPES, _EDGE_MAGNITUDES, _EDGE_MAGNITUDES, (1, -1), (1, -1)):
             a = make_super([[sr * r] * t] * n)
             b = make_super([[sc * c] * m] * t)

@@ -7,11 +7,11 @@ run at once, each in its own working directory, on the same input files.
 
 The calls are every call of the three benchmark workloads (bench/workloads.py)
 at each seed, then error and edge calls: entries beyond the int/str digit
-limit, undecodable bytes, a byte order mark, a parse error, an improper union,
-incompatible operands, usage errors, a missing input and -o into a missing
-directory. Outputs go to relative paths, so that the paths in messages agree.
-Exit code, stdout, stderr and the -o file must be equal; a call that raises
-compares by its exception's type and message.
+limit, a product in 1-byte slots, undecodable bytes, a byte order mark, a
+parse error, an improper union, incompatible operands, usage errors, a missing
+input and -o into a missing directory. Outputs go to relative paths, so that
+the paths in messages agree. Exit code, stdout, stderr and the -o file must be
+equal; a call that raises compares by its exception's type and message.
 
 The texts are 100,000 (300 with --tiny), an equal share drawn with
 random.Random(seed) for each seed. A quarter come from the parse alphabet; the
@@ -46,6 +46,7 @@ _WIDE = "9" * 5000  # more digits than the default int/str conversion limit of 4
 EDGE_INPUTS = {
     "wide.smx": f"[ 1 -{_WIDE}/7 | 2\n  {_WIDE} 3 | 1/{_WIDE} ]\n".encode(),
     "column.smx": b"[ 1\n  --\n  2 ]\n",
+    "row.smx": b"[ 1 | 2 ]\n",
     "bad-utf8.smx": b"[ 1 \xff 2 ]\n",
     "bom.smx": "\ufeff[ 1 2 | 3 ]\nU\n[ 4 ]\n".encode(),
     "ragged.smx": b"[ 1 2\n  3 ]\n",
@@ -59,6 +60,7 @@ EDGE_CALLS = [
     ["add", "{in}/wide.smx", "{in}/wide.smx", "-o", "{out}/wide-sum.smx"],
     ["sub", "{in}/wide.smx", "{out}/wide-sum.smx"],
     ["mul", "{in}/wide.smx", "{in}/column.smx"],
+    ["mul", "{in}/row.smx", "{in}/column.smx"],
     ["check", "{in}/wide.smx"],
     ["check", "{in}/bad-utf8.smx"],
     ["transpose", "{in}/bom.smx"],
