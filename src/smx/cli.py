@@ -10,15 +10,14 @@ The argument parser is built on the first call of run and reused by every
 later call in the same process: parsing never changes it, each call gets a
 fresh namespace, and help text takes its width at the time it is printed.
 
-main, behind the smx console script and python -m smx.cli, flushes stdout and
-stderr itself and ends the process with os._exit, skipping interpreter
-teardown: freeing every module and object at exit measured 10-12 ms per
-process (Python 3.11, 2-core VM), and nothing here needs it, since an -o file
-is closed before it is renamed into place and no atexit handler is
-registered. An uncaught exception is a bug and still ends the normal way,
-with its traceback. A result or help text that cannot be written to stdout
-(a closed pipe, a full disk, a closed fd 1) is one line on stderr and exit 1;
-a failing stderr is ignored, as nothing is left to report it on.
+run writes and flushes each result and help text itself: one that cannot be
+written to stdout (a closed pipe, a full disk, a closed fd 1) is one line on
+stderr and exit 1, whatever its size; a failing stderr is ignored. main, behind
+the smx console script and python -m smx.cli, then ends the process with
+os._exit, skipping interpreter teardown, which measured 10-12 ms per process
+(Python 3.11, 2-core VM). That loses nothing: stdout is flushed, stderr is
+line-buffered, an -o file is closed before its rename, and no atexit handler is
+registered. An uncaught exception is a bug and still ends with its traceback.
 
 Exit codes: 0 success, 1 unreadable or unparsable input (and usage errors,
 and stdout that cannot be written), 2 incompatible operands, 3 check found an
@@ -68,18 +67,19 @@ def _say(err, message):
         pass
 
 
-def _stdout_failure(e):
-    return _Failure(FAILED_READ, f"stdout: {e.strerror or e}")
-
-
 def _write(out, text):
-    """Write a result to out; a closed pipe, a full disk or a closed fd 1 is a one-line failure."""
+    """Write and flush a result to out; a closed pipe, a full disk or a closed fd 1 is a one-line failure."""
     if out is None:  # sys.stdout when the process started with fd 1 closed
         raise _Failure(FAILED_READ, f"stdout: {os.strerror(errno.EBADF)}")
     try:
         out.write(text)
+        out.flush()
     except OSError as e:
-        raise _stdout_failure(e) from None
+        raise _Failure(FAILED_READ, f"stdout: {e.strerror or e}") from None
+
+
+class _Help(Exception):
+    """Help text, raised where argparse would print it and exit: run writes it as a result."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -91,8 +91,8 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _Failure(FAILED_READ, f"usage error: {message}")
 
-    def print_help(self, file=None):  # as a result: to run's stdout, sys.stdout while run parses
-        _write(sys.stdout if file is None else file, self.format_help())
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _load(path):
@@ -220,39 +220,26 @@ def _build_parser():
 
 
 def run(argv=None, stdout=None, stderr=None):
+    """Run one command and return its exit code; results and help go to stdout, which needs write and flush."""
     out = sys.stdout if stdout is None else stdout
     err = sys.stderr if stderr is None else stderr
     if argv is None:
         argv = sys.argv[1:]
     try:
-        saved, sys.stdout = sys.stdout, out  # argparse prints help to sys.stdout
         try:
             ns = _build_parser().parse_args(argv)
-        finally:
-            sys.stdout = saved
+        except _Help as e:
+            _write(out, str(e))
+            return OK
         return ns.func(ns, out, err)
     except (_Failure, DimensionMismatch, PartitionMismatch, ArityMismatch) as e:
         _say(err, e)
         return e.code if isinstance(e, _Failure) else INCOMPATIBLE
-    except SystemExit as e:
-        return int(e.code or 0)
 
 
 def main():
-    """Run the command from sys.argv, flush, and end the process without teardown."""
-    code = run()
-    if sys.stdout is not None:  # None when the process started with fd 1 closed
-        try:
-            sys.stdout.flush()
-        except OSError as e:
-            _say(sys.stderr, _stdout_failure(e))
-            code = FAILED_READ
-    if sys.stderr is not None:
-        try:
-            sys.stderr.flush()
-        except OSError:
-            pass  # nowhere left to report it
-    os._exit(code)
+    """Run the command from sys.argv and end the process without teardown."""
+    os._exit(run())
 
 
 if __name__ == "__main__":

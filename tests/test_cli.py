@@ -57,6 +57,14 @@ class _Failing(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
+class _NotSysStdout(io.StringIO):
+    """A stream that fails any write made while sys.stdout is bound to it."""
+
+    def write(self, text):
+        assert sys.stdout is not self, "sys.stdout was rebound to the stream run was given"
+        return super().write(text)
+
+
 class TestArithmeticCommands:
     def test_mul_prints_canonical_product(self, tmp_path):
         a = write_smx(tmp_path, "a.smx", fx.MUL_SMALL_A)
@@ -312,10 +320,17 @@ class TestSharedParser:
 class TestStdoutFailures:
     """A result that cannot be written to stdout ends in one stderr line and exit 1."""
 
-    @pytest.mark.parametrize("size", ["100 KB", "tiny"])  # failing inside run / at main's final flush
+    # a transpose past a stdout buffer fails at its write, a tiny one and the report of an improper
+    # union at its flush: all inside run, before check reports the improper union on stderr
+    @pytest.mark.parametrize("case", ["100 KB", "tiny", "improper"])
     @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
-    def test_unwritable_stdout_is_one_line(self, tmp_path, size, target):
-        f = write_big(tmp_path) if size == "100 KB" else write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+    def test_unwritable_stdout_is_one_line(self, tmp_path, case, target):
+        if case == "improper":
+            args = ["check", write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)]
+        elif case == "tiny":
+            args = ["transpose", write_smx(tmp_path, "m.smx", fx.TALL_7X5)]
+        else:
+            args = ["transpose", write_big(tmp_path)]
         if target == "closed pipe":
             read_end, stdout = os.pipe()
             os.close(read_end)
@@ -326,7 +341,7 @@ class TestStdoutFailures:
             stdout = os.open("/dev/full", os.O_WRONLY)
             reason = os.strerror(errno.ENOSPC)
         try:
-            done = child(["transpose", f], stdout=stdout, stderr=subprocess.PIPE)
+            done = child(args, stdout=stdout, stderr=subprocess.PIPE)
         finally:
             os.close(stdout)
         assert (done.returncode, done.stderr) == (1, f"stdout: {reason}\n".encode())
@@ -395,9 +410,9 @@ class TestClosedStdout:
 
 
 class TestFlushBeforeExit:
-    """main ends the process with os._exit, after flushing a block-buffered stdout and stderr."""
+    """main ends the process with os._exit once run has flushed each result; stderr is line-buffered."""
 
-    @pytest.mark.parametrize("size", ["100 KB", "tiny"])  # a tiny result stays in the buffer until main flushes
+    @pytest.mark.parametrize("size", ["100 KB", "tiny"])  # a tiny result stays in the buffer until run flushes it
     def test_stdout_to_a_pipe_and_to_a_file(self, tmp_path, size):
         f = write_big(tmp_path) if size == "100 KB" else write_smx(tmp_path, "m.smx", fx.TALL_7X5)
         code, expected, _ = invoke(["transpose", f])
@@ -604,7 +619,10 @@ class TestFailures:
     @pytest.mark.parametrize("args", [["-h"], ["--help"], ["gram", "-h"], ["check", "--help"]])
     def test_help_goes_to_the_given_stream(self, monkeypatch, capsys, args):
         monkeypatch.setenv("COLUMNS", "80")  # the help width a child reads too
-        assert invoke(args) == TestSharedParser.alone(args)
+        expected = TestSharedParser.alone(args)
+        assert invoke(args) == expected
+        out, err = _NotSysStdout(), io.StringIO()
+        assert (run(args, stdout=out, stderr=err), out.getvalue(), err.getvalue()) == expected
         assert capsys.readouterr() == ("", "")
 
 
