@@ -157,8 +157,7 @@ def parse(text):
     """Parse .smx text into a SuperNMatrix."""
     _expect(str, text)
     components, reader, pending_sep, scalars = [], None, None, functools.cache(_ratio)
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    for line_no, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         text_on_line = line.strip(_BLANKS)
         if not text_on_line:
             continue

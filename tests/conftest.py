@@ -1,4 +1,10 @@
+import os
+import sys
+
 from hypothesis import HealthCheck, settings
+
+# The dense reference arithmetic lives in bench/reference.py, which imports nothing from smx.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
 
 settings.register_profile(
     "exact",

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 
 import fixtures as fx
-import oracles as orc
+import reference as orc
 import strategies as sts
 import smx
 from smx import (

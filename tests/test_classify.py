@@ -1,8 +1,10 @@
-from hypothesis import given
+from hypothesis import given, settings
 
 import fixtures as fx
+import reference
 import strategies as sts
 from smx import (
+    flatten,
     improper_pair,
     is_proper,
     is_semi_super,
@@ -186,3 +188,9 @@ class TestUnionClass:
         rep = union_class(u)
         assert rep.proper == is_proper(u) == (improper_pair(u) is None)
         assert rep.semi_super == is_semi_super(u)
+
+    @given(sts.unions() | sts.unions_with_repeats())
+    @settings(max_examples=300)
+    def test_report_agrees_with_the_reference(self, u):
+        comps = [(flatten(c).to_rows(), c.row_cuts, c.col_cuts) for c in u.components]
+        assert union_class(u).to_dict() == reference.report(comps)

@@ -588,6 +588,8 @@ class TestFailures:
         f = tmp_path / "cr.smx"
         f.write_bytes(b"[ 1\r2 ]\n")
         assert invoke(["transpose", str(f)]) == (1, "", f"{f}: line 1, column 4: unexpected character '\\r'\n")
+        f.write_bytes(b"[ 1 2 ]\r")
+        assert invoke(["check", str(f)]) == (1, "", f"{f}: line 1, column 8: unexpected text after ']'\n")
 
     def test_crlf_accepted(self, tmp_path):
         f = tmp_path / "crlf.smx"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import strategies as sts
-from oracles import o_rows
 from smx import (
     ClassReport,
     DenseMatrix,
@@ -577,12 +576,17 @@ _ENTRIES = st.one_of(
 )
 
 
+def _rows(nrows, ncols, flat):
+    """The row lists of Fractions that a row-major flat list of nrows * ncols rationals holds."""
+    return [[Fraction(x) for x in flat[i * ncols : (i + 1) * ncols]] for i in range(nrows)]
+
+
 @given(st.data())
 def test_entries_at_to_rows_and_value_eq_agree_with_the_oracle(data):
     nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     xs = data.draw(st.lists(_ENTRIES, min_size=nrows * ncols, max_size=nrows * ncols))
     m = DenseMatrix(nrows, ncols, xs)
-    rows = o_rows(nrows, ncols, xs)
+    rows = _rows(nrows, ncols, xs)
     assert m.entries == tuple(map(Fraction, xs)) and all(type(x) is Fraction for x in m.entries)
     assert m.to_rows() == rows
     assert [[m.at(i, j) for j in range(ncols)] for i in range(nrows)] == rows
@@ -590,7 +594,7 @@ def test_entries_at_to_rows_and_value_eq_agree_with_the_oracle(data):
     unreduced = [f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in xs]
     ys = data.draw(st.lists(_ENTRIES, min_size=nrows * ncols, max_size=nrows * ncols))
     for other in (unreduced, ys):
-        same = o_rows(nrows, ncols, other) == rows
+        same = _rows(nrows, ncols, other) == rows
         n = DenseMatrix(nrows, ncols, other)
         assert value_eq(make_super(m), make_super(n)) is same and (m == n) is same
         assert not same or hash(m) == hash(n)

@@ -132,6 +132,9 @@ PARSE_ERRORS = [
     ("[ 1\v2 ]", ParseError, 1, 4, "unexpected character '\\x0b'"),
     ("[ 1\xa02 ]", ParseError, 1, 4, "unexpected character '\\xa0'"),
     ("[ 1\r2 ]", ParseError, 1, 4, "unexpected character '\\r'"),
+    ("[ 1 2 ]\r", ParseError, 1, 8, "unexpected text after ']'"),
+    ("[ 1 2 ]\n\r", ParseError, 2, 1, "expected '[' to open a component"),
+    ("[ 1 ]\nU\n[ 2 ]\r", ParseError, 3, 6, "unexpected text after ']'"),
     ("\xa0[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
     ("\x0c\n[ 1 ]", ParseError, 1, 1, "expected '[' to open a component"),
     ("[1]\nU\xa0\n[2]", ParseError, 2, 2, "unexpected text after 'U'"),
@@ -190,7 +193,7 @@ class TestParseErrors:
         try:
             parse(text)
         except ParseError as e:
-            lines = [ln[:-1] if ln.endswith("\r") else ln for ln in text.split("\n")]
+            lines = text.replace("\r\n", "\n").split("\n")
             assert 1 <= e.line <= len(lines)
             assert 1 <= e.column <= len(lines[e.line - 1]) + 1
 
