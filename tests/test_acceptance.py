@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 
 import fixtures as fx
-import reference as orc
+import reference
 import strategies as sts
 import smx
 from smx import (
@@ -106,7 +106,7 @@ def test_union_classification_matches_worked_results():
 def test_block_product_agrees_with_dense_oracle(pair):
     a, b = pair
     p, witness = super_mul(a, b)
-    assert rows_of(p) == orc.o_mul(rows_of(a), rows_of(b))
+    assert rows_of(p) == reference.o_mul(rows_of(a), rows_of(b))
     assert p.row_partition == a.row_partition
     assert p.col_partition == b.col_partition
     assert witness.inner_partition == a.col_partition

@@ -193,7 +193,7 @@ class TestParseErrors:
         try:
             parse(text)
         except ParseError as e:
-            lines = text.replace("\r\n", "\n").split("\n")
+            lines = [ln[:-1] if ln.endswith("\r") else ln for ln in text.split("\n")]
             assert 1 <= e.line <= len(lines)
             assert 1 <= e.column <= len(lines[e.line - 1]) + 1
 

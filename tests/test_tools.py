@@ -10,12 +10,11 @@ import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "tools"))
+import bench_pairs
+import bench_trajectory
+import cli_diff
 
-import bench_pairs  # noqa: E402
-import bench_trajectory  # noqa: E402
-import cli_diff  # noqa: E402
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     _BENCHMARK = json.load(f)
