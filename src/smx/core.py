@@ -354,14 +354,6 @@ class SuperMatrix(Record):
         return self.col_partition.cuts
 
 
-def _as_partition(p, length):
-    if isinstance(p, Partition):
-        if p.length != length:
-            raise DimensionMismatch(f"partition covers {p.length} positions, axis has {length}")
-        return p
-    return Partition(length, p)
-
-
 def make_super(data, row_partition=(), col_partition=()):
     """Build a SuperMatrix from a DenseMatrix or nested row lists.
 
@@ -369,11 +361,11 @@ def make_super(data, row_partition=(), col_partition=()):
     """
     if not isinstance(data, DenseMatrix):
         data = DenseMatrix.from_rows(data)
-    return SuperMatrix(
-        data,
-        _as_partition(row_partition, data.rows),
-        _as_partition(col_partition, data.cols),
-    )
+    if not isinstance(row_partition, Partition):
+        row_partition = Partition(data.rows, row_partition)
+    if not isinstance(col_partition, Partition):
+        col_partition = Partition(data.cols, col_partition)
+    return SuperMatrix(data, row_partition, col_partition)  # which checks a Partition's length
 
 
 def grid_shape(s):

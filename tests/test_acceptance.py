@@ -106,6 +106,7 @@ def test_union_classification_matches_worked_results():
 def test_block_product_agrees_with_dense_oracle(pair):
     a, b = pair
     p, witness = super_mul(a, b)
+    assert a.cols == b.rows  # reference.o_mul would cut a longer side short
     assert rows_of(p) == reference.o_mul(rows_of(a), rows_of(b))
     assert p.row_partition == a.row_partition
     assert p.col_partition == b.col_partition

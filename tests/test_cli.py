@@ -189,9 +189,7 @@ class TestArithmeticCommands:
 
     def test_runs_as_a_module(self, tmp_path):
         f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-        argv = [sys.executable, "-m", "smx.cli", "transpose", f]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+        done = child(["transpose", f], capture_output=True, text=True)
         assert (done.returncode, done.stdout, done.stderr) == (0, smx.format(fx.TALL_7X5_T), "")
 
     @pytest.mark.parametrize(
@@ -282,8 +280,7 @@ class TestSharedParser:
 
     @staticmethod
     def alone(args):
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "COLUMNS": "80"}
-        done = subprocess.run([sys.executable, "-m", "smx.cli", *args], capture_output=True, env=env, check=False)
+        done = child(args, capture_output=True)
         return done.returncode, done.stdout.decode(), done.stderr.decode()
 
     @pytest.mark.parametrize(
@@ -320,12 +317,14 @@ class TestSharedParser:
 class TestStdoutFailures:
     """A result that cannot be written to stdout ends in one stderr line and exit 1."""
 
-    # a transpose past a stdout buffer fails at its write, a tiny one and the report of an improper
-    # union at its flush: all inside run, before check reports the improper union on stderr
-    @pytest.mark.parametrize("case", ["100 KB", "tiny", "improper"])
+    # a transpose past a stdout buffer fails at its write, a tiny one, the report of an improper union
+    # and the help text at their flush: all inside run, before check reports the improper union on stderr
+    @pytest.mark.parametrize("case", ["100 KB", "tiny", "improper", "help"])
     @pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
     def test_unwritable_stdout_is_one_line(self, tmp_path, case, target):
-        if case == "improper":
+        if case == "help":
+            args = ["-h"]
+        elif case == "improper":
             args = ["check", write_smx(tmp_path, "u.smx", fx.IMPROPER_UNION)]
         elif case == "tiny":
             args = ["transpose", write_smx(tmp_path, "m.smx", fx.TALL_7X5)]

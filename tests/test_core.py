@@ -177,8 +177,10 @@ class TestSuperMatrix:
         assert s.col_cuts == ()
 
     def test_partition_length_must_match(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"^row partition covers 3 rows, matrix has 2$"):
             make_super([[1, 2], [3, 4]], Partition(3, (1,)), ())
+        with pytest.raises(DimensionMismatch, match=r"^column partition covers 3 columns, matrix has 2$"):
+            make_super([[1, 2], [3, 4]], (), Partition(3, (1,)))
 
     def test_grid_shape(self):
         assert grid_shape(fx.BLOCKED_5X5) == (2, 2)

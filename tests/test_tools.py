@@ -1,5 +1,5 @@
 """The tools: bench_trajectory.py on the committed BENCH_<n>.json files and on malformed ones,
-bench_pairs.medians, and cli_diff.py against HEAD and on the differences it lists."""
+bench_pairs.medians, and cli_diff.py against HEAD, on its seed pool and on the differences it lists."""
 
 import json
 import math
@@ -13,6 +13,7 @@ import pytest
 import bench_pairs
 import bench_trajectory
 import cli_diff
+import smx
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -110,6 +111,16 @@ def test_cli_diff_finds_no_difference_with_head_on_tiny_inputs():
     summary += r"0 differences\n"
     match = re.fullmatch(summary, done.stdout)
     assert match and int(match[1]) > 0 and int(match[2]) > 0
+
+
+def test_cli_diff_draws_from_known_valid_texts_without_parsing_them(monkeypatch):
+    def refuse(texts):
+        raise AssertionError("the seed pool was filtered through this checkout's parser")
+
+    monkeypatch.setattr(cli_diff, "parse_outcomes", refuse)
+    assert len(cli_diff.fuzz_texts([1], 300)) == 300
+    for text in cli_diff.seed_texts()[0]:
+        smx.parse(text)
 
 
 def test_cli_diff_lists_each_field_that_differs():

@@ -15,11 +15,12 @@ equal; a call that raises compares by its exception's type and message.
 
 The texts are 100,000 (300 with --tiny), an equal share drawn with
 random.Random(seed) for each seed. A quarter come from the parse alphabet; the
-rest are seed texts, mostly ones this checkout parses, with up to three
-character edits or a copied span. The seed texts are test_textio's
-PARSE_ERRORS, a few valid layouts, and the workloads' tiny inputs at seeds 1
-and 7 with windows of their lines. format(parse(text)), or the error's type,
-message, line and column, must be equal.
+rest are seed texts, mostly valid ones, with up to three character edits or a
+copied span. The valid seed texts are test_textio's CANONICAL, a few valid
+layouts and the workloads' tiny inputs at seeds 1 and 7, all known to parse;
+the others are test_textio's PARSE_ERRORS and windows of the inputs' lines.
+format(parse(text)), or the error's type, message, line and column, must be
+equal.
 
 Prints the first ten differences in full and a count; exits 1 on any.
 """
@@ -167,20 +168,27 @@ def jobs(seeds, tiny, inputs, cwds):
 
 
 def seed_texts():
+    """(valid, base): the texts known to parse, and all seed texts.
+
+    valid is CANONICAL, VALID and each workload's full tiny input; base adds
+    PARSE_ERRORS and windows of the inputs' lines, which may parse or not.
+    """
     from test_textio import CANONICAL, PARSE_ERRORS
 
-    texts = [text for text, *_ in PARSE_ERRORS] + [CANONICAL] + VALID
+    valid = [CANONICAL] + VALID
+    base = [text for text, *_ in PARSE_ERRORS] + valid
     for name in workloads.WORKLOADS:
         for seed in (1, 7):
             rng = random.Random(f"{name}:{seed}")
             for union in workloads.build(name, seed, tiny=True).inputs.values():
                 text = workloads.to_text(union)
-                texts.append(text)
+                valid.append(text)
+                base.append(text)
                 lines = text.split("\n")
                 for _ in range(5):
                     i = rng.randrange(len(lines))
-                    texts.append("\n".join(lines[i : i + rng.randint(1, 6)]))
-    return texts
+                    base.append("\n".join(lines[i : i + rng.randint(1, 6)]))
+    return valid, base
 
 
 def mutate(rng, text):
@@ -201,8 +209,7 @@ def mutate(rng, text):
 
 def fuzz_texts(seeds, count):
     """count texts, an equal share drawn with random.Random(seed) for each seed, from the alphabet or the seed texts."""
-    base = seed_texts()
-    valid = [text for text, outcome in zip(base, parse_outcomes(base)) if outcome[1] is None]
+    valid, base = seed_texts()
     texts = []
     for seed in seeds:
         rng = random.Random(seed)
