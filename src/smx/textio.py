@@ -1,10 +1,10 @@
 """Read and write the .smx text form of supermatrix unions.
 
-A component sits between brackets. Entries are integers or fractions
-('-3', '7/2'; the grammar is core.parse_scalar's), rows end at a newline or
-';', a '|' marks a column cut, and a line of two or more dashes, optionally
-with '+', and nothing else marks a row cut. A line holding only 'U' or '∪'
-separates components; text after it is an error at that text's column:
+A component sits between brackets. Entries are integers or fractions ('-3',
+'7/2'; see core.parse_scalar). A row ends at a newline, ';' or ']', and a row
+end with no entries before it ends nothing. '|' marks a column cut, and a line
+of only '-' and '+', with two or more dashes, a row cut. A line holding only
+'U' or '∪' separates components; text after it is an error at its column:
 
     [ 3 0 | 1
       2 1 | 1
@@ -135,8 +135,6 @@ class _Component:
                     raise ParseError("duplicate column cut", line_no, col)
                 cuts.append(len(row))
             elif token == ";":
-                if not row:
-                    raise ParseError("empty row", line_no, col)
                 self.end_row(row, cuts, line_no, col)
                 row, cuts = [], []
             elif token == "]":

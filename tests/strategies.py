@@ -118,18 +118,25 @@ def _rule(draw):
     return draw(plus_or_dash) + "-" + draw(plus_or_dash) + "-" + draw(plus_or_dash)
 
 
+# A second ';', or a '; ' that opens a row, ends a row with no entries: it ends nothing.
+_SEMICOLONS = st.sampled_from([";", ";;", " ; ;"])
+_BEFORE_NEWLINE = st.one_of(st.just(""), _SEMICOLONS)
+_ROW_OPENS = st.sampled_from(["", "; "])
+
+
 def _component_text(draw, s):
     entries, cols = s.data.entries, s.cols
     text = "[" + draw(st.sampled_from(["", " ", "\t  "]))
     if draw(st.booleans()):
         text += _line_end(draw)  # the first row on its own line
     for r in range(s.rows):
-        if r in s.row_cuts:
-            text += draw(st.sampled_from(["", ";"])) + _line_end(draw) + _rule(draw) + _line_end(draw)
+        if r in s.row_cuts:  # nothing but blanks before the rule line
+            text += draw(_BEFORE_NEWLINE) + _line_end(draw) + _rule(draw) + _line_end(draw)
         elif r and draw(st.booleans()):
-            text += draw(st.sampled_from(["", ";"])) + _line_end(draw)
+            text += draw(_BEFORE_NEWLINE) + _line_end(draw)
         elif r:
-            text += ";" + draw(_BLANKS)  # the next row on the same line
+            text += draw(_SEMICOLONS) + draw(_BLANKS)  # the next row on the same line
+        text += draw(_ROW_OPENS)
         for c in range(cols):
             if c in s.col_cuts:
                 text += draw(_BLANKS) + "|" + draw(_BLANKS)  # '1|2' as well as '1 | 2'
@@ -141,9 +148,9 @@ def _component_text(draw, s):
 
 @st.composite
 def union_texts(draw, max_components=4, max_rows=5, max_cols=5):
-    """(union, .smx text of it): tabs and runs of blanks, ';' and CRLF row ends, '2/4' and
-    '-0', '|' with or without blanks, ']' attached or on its own line, '+' anywhere in a
-    rule line, blank lines, and 'U' or '∪' separators."""
+    """(union, .smx text of it): tabs and runs of blanks, ';' and CRLF row ends, row ends
+    with no entries before them, '2/4' and '-0', '|' with or without blanks, ']' attached
+    or on its own line, '+' anywhere in a rule line, blank lines, and 'U' or '∪' separators."""
     u = draw(unions(max_components=max_components, max_rows=max_rows, max_cols=max_cols))
     text = draw(_BLANKS)
     for k, s in enumerate(u.components):

@@ -187,11 +187,6 @@ class TestArithmeticCommands:
         assert link.is_symlink()
         assert real.read_text() == smx.format(fx.TALL_7X5_T)
 
-    def test_runs_as_a_module(self, tmp_path):
-        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
-        done = child(["transpose", f], capture_output=True, text=True)
-        assert (done.returncode, done.stdout, done.stderr) == (0, smx.format(fx.TALL_7X5_T), "")
-
     @pytest.mark.parametrize(
         "args",
         [

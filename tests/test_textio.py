@@ -91,8 +91,24 @@ class TestParse:
             ("  [ 1\n  --\n2 ]", "[ 1\n  --\n  2 ]\n"),
             ("[ 1 2]", "[ 1 2 ]\n"),
             ("[ 1 ; 2 ]", "[ 1\n  2 ]\n"),
+            # a row end with no entries before it ends nothing
+            ("[ 1 ; ; 2 ]", "[ 1\n  2 ]\n"),
+            ("[ 1 2\n  ; 3 4 ]", "[ 1 2\n  3 4 ]\n"),
+            ("[ 1 2 ;; 3 4 ]", "[ 1 2\n  3 4 ]\n"),
+            ("[ ; 1 2 ]", "[ 1 2 ]\n"),
+            ("[ 1 ;\n  --\n  ; 2 ]", "[ 1\n  --\n  2 ]\n"),
         ],
-        ids=["brackets-on-their-own-lines", "indented-open", "attached-close", "semicolon-then-close"],
+        ids=[
+            "brackets-on-their-own-lines",
+            "indented-open",
+            "attached-close",
+            "semicolon-then-close",
+            "doubled-semicolon-spaced",
+            "semicolon-opens-a-line",
+            "doubled-semicolon",
+            "semicolon-first",
+            "semicolons-around-a-rule",
+        ],
     )
     def test_bracket_and_rule_placement(self, text, canonical):
         assert format(parse(text)) == canonical
@@ -116,11 +132,11 @@ PARSE_ERRORS = [
     ("[ 1 | ]", ParseError, 1, 7, "column cut after the last entry of a row"),
     ("[ 1 2 | ]", ParseError, 1, 9, "column cut after the last entry of a row"),
     ("[ 1 | | 2 ]", ParseError, 1, 7, "duplicate column cut"),
-    ("[ 1 ; ; 2 ]", ParseError, 1, 7, "empty row"),
     ("[\n--\n1 ]", ParseError, 2, 1, "row cut before the first row"),
     ("[ 1\n--\n--\n2 ]", ParseError, 3, 1, "duplicate row cut"),
     ("[ 1\n--\n]", ParseError, 3, 1, "row cut after the last row"),
     ("[ ]", ParseError, 1, 3, "component has no rows"),
+    ("[;]", ParseError, 1, 3, "component has no rows"),
     ("[\n]\n", ParseError, 2, 1, "component has no rows"),
     ("[ 1 ] x", ParseError, 1, 7, "unexpected text after ']'"),
     ("[ 1 ]\tx", ParseError, 1, 7, "unexpected text after ']'"),
