@@ -114,6 +114,8 @@ def _emit(text, path, out):
         _write(out, text)
         return
     target = os.path.realpath(path)  # write through a symlink, as '>' does
+    if os.path.isdir(target):  # '' too, as the working directory: refused before any temp file is made
+        raise _Failure(FAILED_READ, f"{path}: {os.strerror(errno.EISDIR)}")
     tmp = None
     try:
         name = os.path.join(os.path.dirname(target), f".smx-{os.urandom(8).hex()}")

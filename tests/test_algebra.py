@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
@@ -13,6 +13,7 @@ from smx import (
     add,
     flatten,
     gram,
+    is_symmetric_super,
     make_super,
     scale,
     strict_eq,
@@ -187,7 +188,21 @@ class TestSuperMul:
         assert p.row_partition == fx.MUL_WIDE_X.row_partition
         assert p.col_partition == fx.MUL_WIDE_Y.col_partition
 
+    @given(sts.mul_pairs(max_dim=8))
+    @settings(max_examples=1000)
+    def test_matches_oracle(self, pair):
+        a, b = pair
+        p, witness = super_mul(a, b)
+        assert a.cols == b.rows  # reference.o_mul would cut a longer side short
+        assert rows_of(p) == reference.o_mul(rows_of(a), rows_of(b))
+        assert p.row_partition == a.row_partition
+        assert p.col_partition == b.col_partition
+        assert witness.inner_partition == a.col_partition
+
     @given(sts.mul_pairs(max_dim=6))
+    @example((fx.MUL_WIDE_X, fx.MUL_WIDE_Y))
+    @example((fx.MUL_SMALL_A, fx.MUL_SMALL_B))
+    @settings(max_examples=300)
     def test_reversal_law(self, pair):
         a, b = pair
         p, _ = super_mul(a, b)
@@ -254,14 +269,20 @@ class TestWideProducts:
 
 class TestGram:
     def test_right_fixture(self):
-        assert strict_eq(gram(fx.GRAM_RIGHT_IN, "right"), fx.GRAM_RIGHT_OUT)
+        right = gram(fx.GRAM_RIGHT_IN, "right")
+        assert strict_eq(right, fx.GRAM_RIGHT_OUT)
+        assert is_symmetric_super(right)
 
     def test_left_fixture(self):
-        assert strict_eq(gram(fx.GRAM_LEFT_IN, "left"), fx.GRAM_LEFT_OUT)
+        left = gram(fx.GRAM_LEFT_IN, "left")
+        assert strict_eq(left, fx.GRAM_LEFT_OUT)
+        assert is_symmetric_super(left)
 
     def test_minor_vector_product(self):
-        p, _ = super_mul(transpose(fx.COLVEC_A), fx.COLVEC_B)
+        p, witness = super_mul(transpose(fx.COLVEC_A), fx.COLVEC_B)
         assert rows_of(p) == fx.MINOR_PRODUCT
+        assert p.rows == 1 and p.cols == 1
+        assert witness.inner_partition == fx.COLVEC_A.row_partition
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
@@ -299,9 +320,11 @@ class TestGram:
         assert rows_of(gram(s, "right")) == reference.o_mul(entries, entries_t)
 
     @given(sts.supermatrices(max_rows=6, max_cols=6))
+    @settings(max_examples=500)
     def test_square_symmetric_matched_partitions(self, s):
         for side, axis in (("right", s.row_partition), ("left", s.col_partition)):
             g = gram(s, side)
             assert g.rows == g.cols
             assert g.row_partition == axis and g.col_partition == axis
             assert rows_of(g) == reference.o_transpose(rows_of(g))
+            assert is_symmetric_super(g)

@@ -243,12 +243,28 @@ class TestArithmeticCommands:
         assert not target.exists()
         assert str(target) in err
 
-    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
         f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
-        (tmp_path / "out.smx").mkdir()  # the temp file is written, then cannot replace a directory
+
+        def refuse(src, dst):  # the temp file is written, then cannot replace the target
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(os, "replace", refuse)
         code, _, err = invoke(["transpose", f, "-o", str(tmp_path / "out.smx")])
-        assert code == 1 and "out.smx" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.smx", "out.smx"]
+        assert (code, err) == (1, f"{tmp_path / 'out.smx'}: {os.strerror(errno.EACCES)}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.smx"]
+
+    @pytest.mark.parametrize("target", ["out.smx", ""], ids=["directory", "empty"])
+    def test_directory_output_opens_nothing(self, tmp_path, monkeypatch, target):
+        f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)
+        (tmp_path / "work" / "out.smx").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / "work")  # '' names the working directory
+        opened, os_open = [], os.open
+        monkeypatch.setattr(os, "open", lambda path, *args: opened.append(path) or os_open(path, *args))
+        code, out, err = invoke(["transpose", f, "-o", target])
+        assert (code, out, err) == (1, "", f"{target}: Is a directory\n")
+        assert opened == []
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["m.smx", "work", "work/out.smx"]
 
     def test_temp_name_collision_leaves_the_other_file(self, tmp_path, monkeypatch):
         f = write_smx(tmp_path, "m.smx", fx.TALL_7X5)

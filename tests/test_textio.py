@@ -118,6 +118,12 @@ class TestParse:
         u = parse(f"[ 5\n{rule}\n7 ]")
         assert u.components[0].row_cuts == (1,)
 
+    @given(sts.union_texts())
+    @settings(max_examples=500)
+    def test_any_valid_layout_reads_back_its_union(self, case):
+        u, text = case
+        assert union_strict_eq(parse(text), u)
+
 
 # (text, error type, line, column, message)
 PARSE_ERRORS = [
@@ -285,6 +291,7 @@ class TestFormat:
         assert union_strict_eq(parse("\n".join(lines)), u)
 
     @given(sts.unions())
+    @settings(max_examples=500)
     def test_round_trip_and_idempotent(self, u):
         text = format(u)
         v = parse(text)

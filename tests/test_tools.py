@@ -144,3 +144,13 @@ def test_cli_diff_lists_the_text_whose_parse_outcome_differs():
     assert cli_diff.differences(texts, parent, change, cli_diff.PARSE_FIELDS) == [
         ("parse", "[ 1 @ ]", "error column", 5, 6)
     ]
+
+
+def test_cli_diff_corpus_changes_only_where_a_seed_text_changed(monkeypatch):
+    before = cli_diff.fuzz_texts([5], 2000)
+    valid, base = cli_diff.seed_texts()
+    base[base.index("[ ]")] = "[ 1 2 3 ] [ ]"  # a PARSE_ERRORS text drawn early at seed 5, made longer
+    monkeypatch.setattr(cli_diff, "seed_texts", lambda: (valid, base))
+    after = cli_diff.fuzz_texts([5], 2000)
+    changed = sum(a != b for a, b in zip(before, after))
+    assert len(after) == 2000 and 0 < changed < 2000 * 0.02

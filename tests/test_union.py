@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import fixtures as fx
 import strategies as sts
@@ -7,6 +7,7 @@ from smx import (
     improper_pair,
     is_proper,
     is_semi_super,
+    is_symmetric_super,
     make_super,
     make_union,
     scale,
@@ -139,10 +140,27 @@ class TestUnionArithmetic:
         got = union_gram(fx.UNION_GRAM_IN, "right")
         assert union_strict_eq(got, fx.UNION_GRAM_RIGHT_OUT)
 
+    def test_mixed_gram_fixtures(self):
+        left = union_gram(fx.MIXED_GRAM_IN, "left")
+        right = union_gram(fx.MIXED_GRAM_IN, "right")
+        assert union_strict_eq(left, fx.MIXED_GRAM_LEFT_OUT)
+        assert union_strict_eq(right, fx.MIXED_GRAM_RIGHT_OUT)
+        assert all(is_symmetric_super(c) for c in left.components + right.components)
+
     def test_flatten_drops_partitions(self):
         f = union_flatten(fx.UNION_SCALE_IN)
         assert all(c.row_cuts == () and c.col_cuts == () for c in f.components)
         assert union_value_eq(f, fx.UNION_SCALE_IN)
+
+    @given(sts.unions(max_components=3, max_rows=5, max_cols=5))
+    @settings(max_examples=500)
+    def test_transpose_involution_and_n_fold_sums(self, u):
+        assert union_strict_eq(union_transpose(union_transpose(u)), u)
+        for n in (2, 3, 5):
+            total = u
+            for _ in range(n - 1):
+                total = union_add(total, u)
+            assert union_strict_eq(total, union_scale(n, u))
 
     @given(sts.union_pairs_same_layout())
     def test_add_commutes(self, pair):

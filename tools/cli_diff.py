@@ -13,14 +13,15 @@ input and -o into a missing directory. Outputs go to relative paths, so that
 the paths in messages agree. Exit code, stdout, stderr and the -o file must be
 equal; a call that raises compares by its exception's type and message.
 
-The texts are 100,000 (300 with --tiny), an equal share drawn with
-random.Random(seed) for each seed. A quarter come from the parse alphabet; the
-rest are seed texts, mostly valid ones, with up to three character edits or a
-copied span. The valid seed texts are test_textio's CANONICAL, a few valid
-layouts and the workloads' tiny inputs at seeds 1 and 7, all known to parse;
-the others are test_textio's PARSE_ERRORS and windows of the inputs' lines.
-format(parse(text)), or the error's type, message, line and column, must be
-equal.
+The texts are 100,000 (300 with --tiny), an equal share for each seed. Text
+i of seed s is drawn with its own random.Random(f"{s}:{i}"), so a change to
+one seed text changes only the texts drawn from it. A quarter come from the
+parse alphabet; the rest are seed texts, mostly valid ones, with up to three
+character edits or a copied span. The valid seed texts are test_textio's
+CANONICAL, a few valid layouts and the workloads' tiny inputs at seeds 1 and
+7, all known to parse; the others are test_textio's PARSE_ERRORS and windows
+of the inputs' lines. format(parse(text)), or the error's type, message, line
+and column, must be equal.
 
 Prints the first ten differences in full and a count; exits 1 on any.
 """
@@ -208,12 +209,12 @@ def mutate(rng, text):
 
 
 def fuzz_texts(seeds, count):
-    """count texts, an equal share drawn with random.Random(seed) for each seed, from the alphabet or the seed texts."""
+    """count texts, an equal share for each seed, from the alphabet or the seed texts; each text has its own rng."""
     valid, base = seed_texts()
     texts = []
     for seed in seeds:
-        rng = random.Random(seed)
-        for _ in range(-(-count // len(seeds))):
+        for i in range(-(-count // len(seeds))):
+            rng = random.Random(f"{seed}:{i}")
             r = rng.random()
             if r < 0.25:
                 texts.append("".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 40))))
